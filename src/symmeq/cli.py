@@ -17,7 +17,12 @@ from importlib import metadata, resources
 
 import numpy as np
 
-from .games import DimensionError, JointDistribution, SymmetricGame
+from .games import (
+    BudgetExceededError,
+    DimensionError,
+    JointDistribution,
+    SymmetricGame,
+)
 from .nash import enumerate_nash, enumerate_symmetric_nash
 from .optimize import (
     CE_SYM,
@@ -33,7 +38,6 @@ from .optimize import (
 )
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
-    BudgetExceededError,
     extendability_lp,
     minority_parity_suite,
 )
@@ -223,6 +227,8 @@ def cmd_check(args):
         verdict = membership(
             game, dist, which, tol=args.tol, seed=args.seed
         )
+    except BudgetExceededError:
+        raise
     except (DimensionError, ValueError) as exc:
         _fail_parse(str(exc))
     report = _base_report(args, game)
@@ -248,9 +254,8 @@ def cmd_extend(args):
     dist = _load_dist(args.dist_file)
     try:
         result = extendability_lp(game, dist, args.n, budget=args.budget)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_BUDGET)
+    except BudgetExceededError:
+        raise
     except (DimensionError, ValueError) as exc:
         _fail_parse(str(exc))
     report = _base_report(args, game)
@@ -369,7 +374,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -11,6 +11,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class ExactCheckError(RuntimeError):
+    """An exact re-check of a solver result failed, or a solver reached a
+    state that the mathematics rules out.  Raised explicitly, so the check
+    also runs under `python -O`."""
+
+
 def frac(x):
     """Coerce ints/strings/Fractions to Fraction; floats go through repr so
     0.25 means 1/4 and 0.1 means 1/10 (decimal-to-rational)."""
@@ -129,5 +135,6 @@ def nullspace(a):
     """Basis of the nullspace of a."""
     rows = len(a)
     res = solve(a, [ZERO] * rows)
-    assert res is not None
+    if res is None:
+        raise ExactCheckError("a homogeneous system came out inconsistent")
     return res[1]

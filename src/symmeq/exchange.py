@@ -14,7 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlin import ZERO, ONE, det, frac
-from .games import JointDistribution, MixedStrategy, expected_utility
+from .games import (
+    BudgetExceededError,
+    JointDistribution,
+    MixedStrategy,
+    expected_utility,
+)
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -32,7 +37,7 @@ def is_psd_exact(W):
     """
     m = len(W)
     if m > 8:
-        raise ValueError("PSD decision guarded at m <= 8")
+        raise BudgetExceededError("PSD decision guarded at m <= 8")
     for i in range(m):
         for j in range(i + 1, m):
             if W[i][j] != W[j][i]:

@@ -16,6 +16,12 @@ class DimensionError(ValueError):
     """Raised when matrix/vector dimensions do not match."""
 
 
+class BudgetExceededError(ValueError):
+    """A problem exceeds a size guard or budget: the orbit count, or the
+    number of strategies that support enumeration or the exact PSD test
+    handles."""
+
+
 def _freeze_matrix(rows, m, n=None):
     n = m if n is None else n
     if len(rows) != m or any(len(r) != n for r in rows):

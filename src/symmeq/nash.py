@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import ZERO, ONE, mat_vec, solve, frac
-from .games import MixedStrategy, outer
+from .games import BudgetExceededError, MixedStrategy, outer
 from .polytope import enumerate_vertices, UnboundedPolytopeError
 from .simplex import LinearSystem
 
@@ -147,7 +147,9 @@ def enumerate_nash(game):
     """
     m = game.m
     if m > MAX_STRATEGIES:
-        raise ValueError(f"support enumeration guarded at m <= {MAX_STRATEGIES}")
+        raise BudgetExceededError(
+            f"support enumeration guarded at m <= {MAX_STRATEGIES}"
+        )
     supports = [
         tuple(s)
         for r in range(1, m + 1)

@@ -11,7 +11,7 @@ products (exact LP over the enumerated Nash set).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import ZERO, ONE
+from .exactlin import ZERO, ONE, ExactCheckError
 from .exchange import (
     CONDITIONALLY_IID,
     NOT_CONDITIONALLY_IID,
@@ -22,7 +22,7 @@ from .games import JointDistribution, expected_utility, outer
 from .nash import enumerate_symmetric_nash
 from .polytope import SymCEIndex, ce_system
 from .sdp import dnn_ce_problem, sdp_solve
-from .simplex import LinearSystem, lp_solve, verify_farkas
+from .simplex import LinearSystem, lp_solve, require_infeasible
 
 CE_SYM = "ce_sym"
 XE_SYM = "xe_sym"
@@ -180,8 +180,7 @@ def membership(game, W, set_name, tol=1e-9, seed=0):
                 "strategies": tuple(x.x for x in enum.points),
             },
         )
-    assert res.status == "infeasible"
-    assert verify_farkas(system, res.dual_certificate)
+    require_infeasible(system, res)
     return MembershipVerdict(
         which,
         OUT,
@@ -249,7 +248,8 @@ def max_utility(game, set_name, tol=1e-8, seed=0):
     if which == CE_SYM:
         system = ce_system(game, symmetric_only=True)
         res = lp_solve(system, _utility_objective(game, index))
-        assert res.status == "optimal"  # ce_sym is nonempty and bounded
+        if res.status != "optimal":  # ce_sym is nonempty and bounded
+            raise ExactCheckError(f"CE utility LP came out {res.status}")
         W = JointDistribution(m=game.m, P=index.vec_to_matrix(res.point))
         return UtilityOptimum(
             set_name=which,

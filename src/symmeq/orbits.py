@@ -13,16 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import ZERO, ONE, frac
-from .games import JointDistribution, SymmetricGame
+from .exactlin import ZERO, ONE, ExactCheckError, frac, rank
+from .games import BudgetExceededError, JointDistribution, SymmetricGame
 from .polytope import SymCEIndex
-from .simplex import LinearSystem, lp_solve, verify_farkas
+from .simplex import LinearSystem, lp_solve, require_infeasible
 
 DEFAULT_ORBIT_BUDGET = 200000
-
-
-class BudgetExceededError(ValueError):
-    """The orbit count C(N+m-1, m-1) exceeds the configured budget."""
 
 
 def count_vectors(m, N):
@@ -223,11 +219,43 @@ def extendability_lp(game, W, N, budget=DEFAULT_ORBIT_BUDGET):
         return ExtendabilityResult(
             feasible=True, N=N, orbit=orbit, system=system
         )
-    assert res.status == "infeasible"
-    assert verify_farkas(system, res.dual_certificate)
+    require_infeasible(system, res)
     return ExtendabilityResult(
         feasible=False, N=N, certificate=res.dual_certificate, system=system
     )
+
+
+def _is_unique(system, x):
+    """Is x the only point of {v >= 0 : E v = e}, with E v = e the system's
+    equalities?
+
+    x is unique iff no direction d != 0 has E d = 0 and d_Z >= 0 on the
+    zero set Z of x.  So E restricted to the support of x must have full
+    column rank, and max 1^T d_Z over {E d = 0, d_Z >= 0, 1^T d_Z <= 1}
+    must be 0.
+    """
+    n = system.num_vars
+    rows = [a for a, _ in system.equalities]
+    support = [j for j in range(n) if x[j]]
+    if rank([[row[j] for j in support] for row in rows]) < len(support):
+        return False
+    if len(support) == n:
+        return True
+    on_zero = [ZERO if x[j] else ONE for j in range(n)]
+    bounds = [
+        ([-ONE if i == j else ZERO for i in range(n)], ZERO)
+        for j in range(n)
+        if not x[j]
+    ]
+    directions = LinearSystem(
+        num_vars=n,
+        inequalities=bounds + [(on_zero, ONE)],
+        equalities=[(row, ZERO) for row in rows],
+    )
+    res = lp_solve(directions, on_zero)
+    if res.status != "optimal":
+        raise ExactCheckError(f"direction LP came out {res.status}")
+    return res.optimum == 0
 
 
 def extension_lp(d, budget=DEFAULT_ORBIT_BUDGET, decide_unique=True):
@@ -235,7 +263,8 @@ def extension_lp(d, budget=DEFAULT_ORBIT_BUDGET, decide_unique=True):
     i.e. find orbit weights at N+1 whose drop-one marginal equals d.
 
     When feasible and decide_unique is set, uniqueness is decided exactly
-    by minimizing and maximizing every coordinate over the feasible face.
+    by one rank test and one LP over the directions leaving the point
+    found (_is_unique).
     """
     m, N = d.m, d.N
     ks = count_vectors(m, N + 1)
@@ -254,28 +283,16 @@ def extension_lp(d, budget=DEFAULT_ORBIT_BUDGET, decide_unique=True):
         eqs.append((row, d.weight(k)))
     ks, system = _orbit_lp_system(m, N + 1, eqs, budget)
     res = lp_solve(system, [ZERO] * len(ks))
-    if res.status == "infeasible":
-        assert verify_farkas(system, res.dual_certificate)
+    if res.status != "optimal":
+        require_infeasible(system, res)
         return ExtendabilityResult(
             feasible=False,
             N=N + 1,
             certificate=res.dual_certificate,
             system=system,
         )
-    assert res.status == "optimal"
     orbit = OrbitDistribution(m=m, N=N + 1, weights=list(zip(ks, res.point)))
-    unique = None
-    if decide_unique:
-        unique = True
-        for a in range(len(ks)):
-            obj = [ZERO] * len(ks)
-            obj[a] = ONE
-            lo = lp_solve(system, obj, sense="min")
-            hi = lp_solve(system, obj, sense="max")
-            assert lo.status == "optimal" and hi.status == "optimal"
-            if lo.optimum != hi.optimum:
-                unique = False
-                break
+    unique = _is_unique(system, res.point) if decide_unique else None
     return ExtendabilityResult(
         feasible=True, N=N + 1, orbit=orbit, system=system, unique=unique
     )

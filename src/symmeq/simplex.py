@@ -1,18 +1,27 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex over Fraction arithmetic with Bland's anti-cycling
-rule.  Free variables are split into positive and negative parts, so the
-solver accepts arbitrary systems of <= inequalities and equalities.  On
-infeasible systems it returns an exact Farkas certificate: a nonnegative
-combination of the inequality rows plus a signed combination of the equality
-rows whose coefficient vector vanishes while the combined right-hand side is
-negative.
+Two-phase primal simplex in exact arithmetic with Bland's anti-cycling
+rule.  An inequality row c * v_j <= 0 with c < 0 and no other nonzero
+coefficient is a native bound v_j >= 0: it becomes no tableau row, and v_j
+gets a single nonnegative column.  Every variable without such a row is
+free and is split into positive and negative parts.  Each tableau row is
+kept as integers over a positive common denominator, and the phase-1 and
+phase-2 reduced-cost rows live in the tableau, updated by every pivot.
+
+On infeasible systems the solver returns an exact Farkas certificate over
+the user's own rows: a nonnegative combination of the inequality rows plus a
+signed combination of the equality rows whose coefficient vector vanishes
+while the combined right-hand side is negative.  Its multipliers are the
+phase-1 reduced costs: a row's from its slack or artificial column, a bound
+row's from the column of its variable.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
-from .exactlin import ZERO, ONE, dot, frac, solve
+from .exactlin import ZERO, ONE, ExactCheckError, dot, frac
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -43,8 +52,13 @@ class LinearSystem:
 
     def satisfied_by(self, v):
         """Exact feasibility check of a candidate point."""
-        return all(dot(a, v) <= b for a, b in self.inequalities) and all(
-            dot(a, v) == b for a, b in self.equalities
+        support = [(j, x) for j, x in enumerate(v) if x]
+
+        def value(a):
+            return sum((a[j] * x for j, x in support), ZERO)
+
+        return all(value(a) <= b for a, b in self.inequalities) and all(
+            value(a) == b for a, b in self.equalities
         )
 
 
@@ -67,87 +81,125 @@ class LPResult:
 
 def verify_farkas(system, cert):
     """Re-verify an infeasibility certificate exactly."""
-    n = system.num_vars
     if any(y < 0 for y in cert.ineq_mults):
         return False
-    combo = [ZERO] * n
+    combo = [ZERO] * system.num_vars
     rhs = ZERO
-    for y, (a, b) in zip(cert.ineq_mults, system.inequalities):
-        for j in range(n):
-            combo[j] += y * a[j]
-        rhs += y * b
-    for y, (a, b) in zip(cert.eq_mults, system.equalities):
-        for j in range(n):
-            combo[j] += y * a[j]
-        rhs += y * b
+    for y, (a, b) in chain(
+        zip(cert.ineq_mults, system.inequalities),
+        zip(cert.eq_mults, system.equalities),
+    ):
+        if y:
+            for j, c in enumerate(a):
+                if c:
+                    combo[j] += y * c
+            rhs += y * b
     return all(c == 0 for c in combo) and rhs < 0
 
 
-class _Tableau:
-    """Dense simplex tableau in canonical form with explicit basis."""
+def require_infeasible(system, res):
+    """Raise ExactCheckError unless res is an infeasible verdict whose
+    certificate re-verifies on system."""
+    if res.status != INFEASIBLE or not verify_farkas(
+        system, res.dual_certificate
+    ):
+        raise ExactCheckError(
+            f"expected a verified infeasible LP, got {res.status}"
+        )
 
-    def __init__(self, rows, rhs, basis):
-        self.rows = rows          # list of lists of Fraction
-        self.rhs = rhs            # list of Fraction
-        self.basis = basis        # basis column per row
+
+def _reduced(row, den):
+    """Divide an integer row and its denominator den > 0 by their content."""
+    g = gcd(den, *row)
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+def _integer_row(values):
+    """(integers, denominator) standing for a sequence of Fractions."""
+    den = lcm(*(v.denominator for v in values))
+    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
+
+
+class _Tableau:
+    """Dense simplex tableau; row i stands for rows[i] / dens[i].
+
+    The first len(basis) rows are constraints with the right-hand side as
+    their last entry, and basis[i] is the column basic in row i.  The rows
+    after them hold reduced costs, with the negated objective value as
+    their last entry; pivots update them like any other row.
+    """
+
+    def __init__(self, rows, dens, basis, ncols):
+        pairs = [_reduced(row, den) for row, den in zip(rows, dens)]
+        self.rows = [row for row, _ in pairs]
+        self.dens = [den for _, den in pairs]
+        self.basis = basis
+        self.ncols = ncols
+
+    def value(self, i, j):
+        return Fraction(self.rows[i][j], self.dens[i])
 
     def pivot(self, r, c):
-        inv = ONE / self.rows[r][c]
-        self.rows[r] = [x * inv for x in self.rows[r]]
-        self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i != r and self.rows[i][c] != 0:
-                f = self.rows[i][c]
-                row_r = self.rows[r]
-                self.rows[i] = [
-                    self.rows[i][j] - f * row_r[j] for j in range(len(row_r))
-                ]
-                self.rhs[i] -= f * self.rhs[r]
+        rows, dens = self.rows, self.dens
+        p = rows[r][c]
+        prow = rows[r] if p > 0 else [-x for x in rows[r]]
+        prow, q = _reduced(prow, abs(p))
+        rows[r], dens[r] = prow, q
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                rows[i], dens[i] = _reduced(
+                    [x * q - a * y for x, y in zip(row, prow)], dens[i] * q
+                )
         self.basis[r] = c
 
-    def run(self, cost, banned=()):
-        """Bland-rule simplex minimizing cost over the current basis.
-        Returns OPTIMAL or UNBOUNDED (with the tableau left at the last
-        basis)."""
-        banned = set(banned)
-        ncols = len(self.rows[0]) if self.rows else 0
+    def run(self, k):
+        """Bland-rule simplex on the reduced costs in row k.  Returns
+        OPTIMAL or UNBOUNDED (with the tableau left at the last basis)."""
+        rows, basis = self.rows, self.basis
         while True:
-            # reduced costs c_j - c_B . T[:, j], recomputed fresh each round
-            cb = [cost[b] for b in self.basis]
-            entering = None
-            for j in range(ncols):
-                if j in banned or j in self.basis:
-                    continue
-                red = cost[j] - sum(
-                    (cb[r] * self.rows[r][j] for r in range(len(self.rows))),
-                    ZERO,
-                )
-                if red < 0:
-                    entering = j
-                    break
+            cost = rows[k]
+            entering = next(
+                (j for j in range(self.ncols) if cost[j] < 0), None
+            )
             if entering is None:
                 return OPTIMAL
+            # minimum ratio rhs / coefficient; the row denominators cancel
             leaving = None
-            best = None
-            for r in range(len(self.rows)):
-                coef = self.rows[r][entering]
-                if coef > 0:
-                    ratio = self.rhs[r] / coef
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leaving])
-                    ):
-                        best = ratio
-                        leaving = r
+            for i in range(len(basis)):
+                t = rows[i][entering]
+                if t > 0:
+                    if leaving is None:
+                        leaving, lt = i, t
+                        continue
+                    lhs = rows[i][-1] * lt
+                    rhs = rows[leaving][-1] * t
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                        leaving, lt = i, t
             if leaving is None:
                 return UNBOUNDED
             self.pivot(leaving, entering)
 
-    def objective_value(self, cost):
-        return sum(
-            (cost[b] * v for b, v in zip(self.basis, self.rhs)), ZERO
-        )
+    def restrict(self, keep, ncols, k):
+        """Keep constraint rows `keep`, the first ncols columns and the
+        reduced-cost row k, which becomes the last row."""
+        rows = [self.rows[i] for i in keep] + [self.rows[k]]
+        self.dens = [self.dens[i] for i in keep] + [self.dens[k]]
+        self.rows = [row[:ncols] + row[-1:] for row in rows]
+        self.basis = [self.basis[i] for i in keep]
+        self.ncols = ncols
+
+
+def _bound_variable(coeffs, rhs):
+    """The variable j if the row reads c * v_j <= 0 with c < 0, else None."""
+    if rhs != 0:
+        return None
+    nonzero = [j for j, c in enumerate(coeffs) if c]
+    if len(nonzero) == 1 and coeffs[nonzero[0]] < 0:
+        return nonzero[0]
+    return None
 
 
 def lp_solve(system, objective, sense="max"):
@@ -163,123 +215,111 @@ def lp_solve(system, objective, sense="max"):
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
 
-    p = len(system.inequalities)
-    q = len(system.equalities)
-    nrows = p + q
-    if nrows == 0:
-        # no constraints: optimum is 0 only for the zero objective
-        if all(c == 0 for c in objective):
-            return LPResult(OPTIMAL, ZERO, tuple([ZERO] * n))
-        return LPResult(UNBOUNDED)
-
-    # columns: v+ (n) | v- (n) | slacks (p) | artificials (appended)
-    base_cols = 2 * n + p
-    rows = []
-    rhs = []
-    signs = []          # row negation applied to reach rhs >= 0
-    art_of_row = {}     # row -> artificial column
-    basis = [None] * nrows
-
-    def build_row(a, b, slack_idx):
-        sigma = ONE if b >= 0 else -ONE
-        row = [sigma * a[j] for j in range(n)]
-        row += [-sigma * a[j] for j in range(n)]
-        srow = [ZERO] * p
-        if slack_idx is not None:
-            srow[slack_idx] = sigma
-        row += srow
-        return row, sigma * b, sigma
-
+    bound_row = {}      # variable -> its first bound row
+    general = []        # inequality rows that stay rows
     for i, (a, b) in enumerate(system.inequalities):
-        row, bb, sigma = build_row(a, b, i)
-        rows.append(row)
-        rhs.append(bb)
-        signs.append(sigma)
-    for (a, b) in system.equalities:
-        row, bb, sigma = build_row(a, b, None)
-        rows.append(row)
-        rhs.append(bb)
-        signs.append(sigma)
-
-    # initial basis: slack where usable, otherwise an artificial
-    ncols = base_cols
-    for r in range(nrows):
-        if r < p and signs[r] == ONE:
-            basis[r] = 2 * n + r
+        j = _bound_variable(a, b)
+        if j is None:
+            general.append(i)
         else:
-            art_of_row[r] = ncols
-            ncols += 1
-    for r in range(nrows):
-        rows[r] = rows[r] + [ZERO] * (ncols - base_cols)
-        if r in art_of_row:
-            rows[r][art_of_row[r]] = ONE
-            basis[r] = art_of_row[r]
+            bound_row.setdefault(j, i)
 
-    original = [list(row) for row in rows]
-    tab = _Tableau(rows, rhs, basis)
-    artificials = set(art_of_row.values())
+    # columns: structural (variable, sign) | slacks | artificials
+    cols = []
+    for j in range(n):
+        cols.append((j, 1))
+        if j not in bound_row:
+            cols.append((j, -1))
+    n_struct = len(cols)
+    n_kept = n_struct + len(general)
+    specs = [(system.inequalities[i], n_struct + s) for s, i in enumerate(general)]
+    specs += [(row, None) for row in system.equalities]
+    n_art = sum(1 for (_, b), s in specs if s is None or b < 0)
+    ncols = n_kept + n_art
 
-    # phase 1: minimize the sum of artificials
-    cost1 = [ZERO] * ncols
-    for c in artificials:
-        cost1[c] = ONE
-    status = tab.run(cost1)
-    assert status == OPTIMAL  # phase-1 objective is bounded below by 0
-    if tab.objective_value(cost1) > 0:
-        cert = _farkas_from_basis(system, original, tab.basis, cost1, signs, p)
-        assert verify_farkas(system, cert)
+    rows, dens, basis, eq_arts = [], [], [], []
+    art = n_kept
+    for (a, b), slack in specs:
+        ints, den = _integer_row(a + (b,))
+        sigma = 1 if b >= 0 else -1
+        row = [sigma * sign * ints[j] for j, sign in cols]
+        row += [0] * (ncols - n_struct)
+        row.append(sigma * ints[-1])
+        if slack is not None:
+            row[slack] = sigma * den
+        if slack is not None and sigma > 0:
+            basis.append(slack)
+        else:
+            row[art] = den
+            basis.append(art)
+            if slack is None:
+                eq_arts.append((sigma, art))
+            art += 1
+        rows.append(row)
+        dens.append(den)
+    # phase 1 minimizes the sum of the artificials: its reduced costs are
+    # their unit costs minus the sum of the rows they are basic in
+    art_rows = [i for i, c in enumerate(basis) if c >= n_kept]
+    den1 = lcm(*(dens[i] for i in art_rows))
+    phase1 = [0] * (ncols + 1)
+    for i in art_rows:
+        f = den1 // dens[i]
+        phase1 = [x - f * y for x, y in zip(phase1, rows[i])]
+    for c in range(n_kept, ncols):
+        phase1[c] += den1
+    ints, den2 = _integer_row(objective)
+    internal = 1 if sense == "min" else -1
+    phase2 = [internal * sign * ints[j] for j, sign in cols]
+    phase2 += [0] * (ncols - n_struct + 1)
+    m = len(rows)
+    tab = _Tableau(rows + [phase1, phase2], dens + [den1, den2], basis, ncols)
+
+    if tab.run(m) != OPTIMAL:
+        raise ExactCheckError("phase 1 came out unbounded")
+    if tab.rows[m][-1] < 0:
+        cert = _farkas_from_reduced_costs(
+            system, tab, m, general, bound_row, cols, eq_arts
+        )
+        if not verify_farkas(system, cert):
+            raise ExactCheckError("Farkas certificate failed its re-check")
         return LPResult(INFEASIBLE, dual_certificate=cert)
 
     # drive artificials out of the basis; drop rows that are redundant
     keep = []
-    for r in range(len(tab.rows)):
-        if tab.basis[r] in artificials:
-            piv = next(
-                (
-                    j
-                    for j in range(base_cols)
-                    if tab.rows[r][j] != 0
-                ),
-                None,
-            )
-            if piv is None:
-                continue  # redundant row
-            tab.pivot(r, piv)
+    for r in range(m):
+        if tab.basis[r] >= n_kept:
+            row = tab.rows[r]
+            c = next((j for j in range(n_kept) if row[j]), None)
+            if c is None:
+                continue
+            tab.pivot(r, c)
         keep.append(r)
-    tab.rows = [tab.rows[r] for r in keep]
-    tab.rhs = [tab.rhs[r] for r in keep]
-    tab.basis = [tab.basis[r] for r in keep]
+    tab.restrict(keep, n_kept, m + 1)
 
-    # phase 2
-    internal = ONE if sense == "min" else -ONE
-    cost2 = [ZERO] * ncols
-    for j in range(n):
-        cost2[j] = internal * objective[j]
-        cost2[n + j] = -internal * objective[j]
-    status = tab.run(cost2, banned=artificials)
-    if status == UNBOUNDED:
+    if tab.run(len(keep)) == UNBOUNDED:
         return LPResult(UNBOUNDED)
-
     point = [ZERO] * n
-    for b, v in zip(tab.basis, tab.rhs):
-        if b < n:
-            point[b] += v
-        elif b < 2 * n:
-            point[b - n] -= v
-    assert system.satisfied_by(point)
+    for i, c in enumerate(tab.basis):
+        if c < n_struct:
+            j, sign = cols[c]
+            point[j] += sign * tab.value(i, -1)
+    if not system.satisfied_by(point):
+        raise ExactCheckError("optimal point failed its re-check")
     return LPResult(OPTIMAL, dot(objective, point), tuple(point))
 
 
-def _farkas_from_basis(system, original, basis, cost, signs, p):
-    """Recover the phase-1 dual vector y from the final basis and convert it
-    to multipliers on the user's rows."""
-    nrows = len(original)
-    bmat_t = [[original[r][basis[i]] for r in range(nrows)] for i in range(nrows)]
-    cb = [cost[b] for b in basis]
-    sol = solve(bmat_t, cb)
-    assert sol is not None
-    y = sol[0]
-    mults = [-y[r] * signs[r] for r in range(nrows)]
-    ineq = tuple(x if x > 0 else ZERO for x in mults[:p])
-    eq = tuple(mults[p:])
-    return FarkasCertificate(ineq_mults=ineq, eq_mults=eq)
+def _farkas_from_reduced_costs(system, tab, k, general, bound_row, cols, eq_arts):
+    """Multipliers on the user's rows from the phase-1 reduced costs in row
+    k.  With y the phase-1 dual on the sign-normalized rows (sign sigma), a
+    row's multiplier is -sigma*y: its slack's reduced cost, or sigma*(d - 1)
+    with d its artificial's reduced cost.  A bound row c * v_j <= 0 gets
+    the reduced cost of v_j's column divided by -c."""
+    ineq = [ZERO] * len(system.inequalities)
+    for s, i in enumerate(general):
+        ineq[i] = tab.value(k, len(cols) + s)
+    for c, (j, _) in enumerate(cols):
+        i = bound_row.get(j)
+        if i is not None:
+            ineq[i] = tab.value(k, c) / -system.inequalities[i][0][j]
+    eq = tuple(sigma * (tab.value(k, art) - ONE) for sigma, art in eq_arts)
+    return FarkasCertificate(ineq_mults=tuple(ineq), eq_mults=eq)

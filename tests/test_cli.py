@@ -221,3 +221,31 @@ def test_minority_json(capsys):
 def test_minority_budget_guard(capsys):
     code, _, err = run(capsys, "minority", "--n-max", "100", "--budget", "5")
     assert code == EXIT_BUDGET
+
+
+def test_analyze_strategy_guard_exits_budget(capsys, tmp_path):
+    game = write_game(tmp_path, [[(i * j) % 5 - 2 for j in range(7)] for i in range(7)])
+    code, out, err = run(capsys, "analyze", game)
+    assert code == EXIT_BUDGET
+    assert "guarded at m <= 6" in err
+    assert "Traceback" not in err
+
+
+def test_check_xe_psd_guard_exits_budget(capsys, tmp_path):
+    game = write_game(tmp_path, [[int(i == j) for j in range(9)] for i in range(9)])
+    dist = write_dist(
+        tmp_path, [["1/9" if i == j else 0 for j in range(9)] for i in range(9)]
+    )
+    code, _, err = run(capsys, "check", game, dist, "--set", "xe")
+    assert code == EXIT_BUDGET
+    assert "guarded at m <= 8" in err
+
+
+def test_check_conv_nash_strategy_guard_exits_budget(capsys, tmp_path):
+    game = write_game(tmp_path, [[int(i == j) for j in range(7)] for i in range(7)])
+    dist = write_dist(
+        tmp_path, [["1/7" if i == j else 0 for j in range(7)] for i in range(7)]
+    )
+    code, _, err = run(capsys, "check", game, dist, "--set", "conv-nash")
+    assert code == EXIT_BUDGET
+    assert "guarded at m <= 6" in err

@@ -8,6 +8,7 @@ import pytest
 
 from symmeq import (
     BudgetExceededError,
+    LinearSystem,
     JointDistribution,
     MixedStrategy,
     OrbitDistribution,
@@ -17,6 +18,7 @@ from symmeq import (
     extendability_lp,
     extension_lp,
     iid_orbits,
+    lp_solve,
     minority_game,
     minority_parity_suite,
     minority_pi,
@@ -35,8 +37,6 @@ def profile_space_extendability(W, N):
     """Brute-force oracle: is there any permutation-invariant distribution
     over full strategy profiles in {0..m-1}^N whose first-two-player
     marginal equals W?  Exact LP over m^N profile variables."""
-    from symmeq import LinearSystem, lp_solve
-
     m = W.m
     profiles = list(itertools.product(range(m), repeat=N))
     pos = {p: a for a, p in enumerate(profiles)}
@@ -225,6 +225,43 @@ def test_extension_lp_nonunique_case():
     assert res.feasible
     assert res.unique is False
     assert drop_one_marginal(res.orbit) == d
+
+
+def coordinatewise_unique(system):
+    """Brute-force uniqueness: every coordinate has equal min and max."""
+    n = system.num_vars
+    for a in range(n):
+        obj = [F(0)] * n
+        obj[a] = F(1)
+        lo = lp_solve(system, obj, sense="min")
+        hi = lp_solve(system, obj, sense="max")
+        assert lo.status == hi.status == "optimal"
+        if lo.optimum != hi.optimum:
+            return False
+    return True
+
+
+def test_uniqueness_matches_coordinatewise_min_max(rng):
+    # feasible by construction: drop one player from a random orbit
+    # distribution at N + 1, with a small support so that unique
+    # extensions occur as well as non-unique ones
+    seen = {True: 0, False: 0}
+    for m in (2, 3):
+        for N in (2, 3):
+            ks = count_vectors(m, N + 1)
+            for _ in range(6):
+                support = rng.sample(ks, rng.randint(1, min(3, len(ks))))
+                raw = [F(rng.randint(1, 5)) for _ in support]
+                weights = [w / sum(raw) for w in raw]
+                d = drop_one_marginal(
+                    OrbitDistribution(m=m, N=N + 1, weights=list(zip(support, weights)))
+                )
+                res = extension_lp(d)
+                assert res.feasible
+                assert drop_one_marginal(res.orbit) == d
+                assert res.unique == coordinatewise_unique(res.system), (m, N, d)
+                seen[res.unique] += 1
+    assert seen[True] >= 3 and seen[False] >= 3
 
 
 def test_envelope_simulation_matches_exact_marginal():

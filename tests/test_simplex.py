@@ -1,13 +1,17 @@
 """Exact rational LP solver and Farkas certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from symmeq import LinearSystem, lp_solve, verify_farkas
+import symmeq
+from symmeq import ExactCheckError, LinearSystem, lp_solve, verify_farkas
 
 F = Fraction
 
@@ -146,3 +150,121 @@ def test_objective_length_mismatch():
     system = LinearSystem(num_vars=2, inequalities=[([1, 0], 1)])
     with pytest.raises(ValueError):
         lp_solve(system, [1])
+
+
+def _mixed_lp(rng):
+    """A random LP over bounded and free variables.  Bounded variables get
+    one or two rows c * x_j <= 0 with c < 0; every variable may get singleton
+    rows that must stay general rows (a positive coefficient, or a nonzero
+    right-hand side); some LPs have equality rows, and some an extra row
+    sum of bounded variables <= -1 that only the bound rows make
+    infeasible."""
+    n = rng.randint(1, 5)
+    bounded = [j for j in range(n) if rng.random() < 0.6]
+    ineqs, bound_rows = [], []
+
+    def unit(j, c):
+        e = [F(0)] * n
+        e[j] = F(c)
+        return e
+
+    for j in bounded:
+        for _ in range(rng.choice((1, 1, 2))):
+            bound_rows.append(len(ineqs))
+            ineqs.append((unit(j, -rng.randint(1, 3)), F(0)))
+    boxed = rng.random() < 0.7  # a box keeps most LPs bounded
+    for j in range(n):
+        if boxed:
+            ineqs.append((unit(j, rng.randint(1, 3)), F(rng.randint(1, 6))))
+            ineqs.append((unit(j, -rng.randint(1, 3)), F(rng.randint(1, 6))))
+        if rng.random() < 0.3:
+            ineqs.append((unit(j, rng.randint(1, 3)), F(rng.choice((-1, 1, 2)))))
+    for _ in range(rng.randint(0, 3)):
+        ineqs.append(([F(rng.randint(-3, 3)) for _ in range(n)], F(rng.randint(-1, 4))))
+    if bounded and rng.random() < 0.3:
+        ineqs.append(([F(int(j in bounded)) for j in range(n)], F(-1)))
+    eqs = [
+        ([F(rng.randint(-2, 2)) for _ in range(n)], F(rng.randint(-2, 2)))
+        for _ in range(rng.choice((0, 0, 0, 1, 2)))
+    ]
+    obj = [F(rng.randint(-3, 3)) for _ in range(n)]
+    return LinearSystem(num_vars=n, inequalities=ineqs, equalities=eqs), obj, bound_rows
+
+
+def _highs(system, obj, drop_rows=()):
+    ineqs = [row for i, row in enumerate(system.inequalities) if i not in drop_rows]
+    n = system.num_vars
+    as_float = lambda rows: (
+        np.array([[float(c) for c in a] for a, _ in rows]).reshape(len(rows), n),
+        np.array([float(b) for _, b in rows]),
+    )
+    A_ub, b_ub = as_float(ineqs)
+    A_eq, b_eq = as_float(system.equalities)
+    return linprog(
+        c=-np.array([float(c) for c in obj]),
+        A_ub=A_ub if ineqs else None,
+        b_ub=b_ub if ineqs else None,
+        A_eq=A_eq if system.equalities else None,
+        b_eq=b_eq if system.equalities else None,
+        bounds=[(None, None)] * n,
+        method="highs",
+    )
+
+
+def test_native_bounds_against_scipy():
+    rng = random.Random(2013)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    bound_weighted = 0
+    for _ in range(300):
+        system, obj, bound_rows = _mixed_lp(rng)
+        res = lp_solve(system, obj)
+        ref = _highs(system, obj)
+        statuses[res.status] += 1
+        if res.status == "optimal":
+            assert ref.status == 0
+            assert system.satisfied_by(res.point)
+            assert res.optimum == sum(c * x for c, x in zip(obj, res.point))
+            assert abs(float(res.optimum) + ref.fun) < 1e-7
+        elif res.status == "infeasible":
+            assert ref.status == 2
+            cert = res.dual_certificate
+            assert verify_farkas(system, cert)
+            if _highs(system, obj, drop_rows=set(bound_rows)).status != 2:
+                # the rows other than the bounds are feasible, so the
+                # certificate must put weight on a bound row
+                assert any(cert.ineq_mults[i] > 0 for i in bound_rows)
+                bound_weighted += 1
+        else:
+            assert ref.status == 3
+    assert min(statuses.values()) >= 10, statuses
+    assert bound_weighted >= 10
+
+
+def test_failed_certificate_check_raises(monkeypatch):
+    monkeypatch.setattr(symmeq.simplex, "verify_farkas", lambda s, c: False)
+    system = LinearSystem(num_vars=1, inequalities=[([1], -1)], equalities=[([1], 2)])
+    with pytest.raises(ExactCheckError):
+        lp_solve(system, [1])
+
+
+def test_failed_certificate_check_raises_under_python_O():
+    # python -O strips assert statements; the check must still run
+    script = """
+import symmeq.simplex
+from symmeq import ExactCheckError, LinearSystem, lp_solve
+if __debug__:
+    raise SystemExit(2)
+symmeq.simplex.verify_farkas = lambda s, c: False
+system = LinearSystem(num_vars=1, inequalities=[([1], -1)], equalities=[([1], 2)])
+try:
+    lp_solve(system, [1])
+except ExactCheckError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    root = os.path.dirname(os.path.dirname(symmeq.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
