@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import ZERO, ONE, det, frac
+from .exactlin import ZERO, ONE, ExactCheckError, det, frac
 from .games import (
     BudgetExceededError,
     JointDistribution,
@@ -54,7 +54,8 @@ def is_psd_exact(W):
     if psd:
         return True, None
     z = _negative_direction(W)
-    assert _quadratic_form(W, z) < 0
+    if _quadratic_form(W, z) >= 0:
+        raise ExactCheckError("PSD witness z fails z^T W z < 0")
     return False, tuple(z)
 
 
@@ -77,7 +78,9 @@ def _negative_direction(W):
 
     def recurse(S):
         n = len(S)
-        assert n > 0
+        if n == 0:
+            # a matrix with a negative principal minor has a witness
+            raise ExactCheckError("LDL^T elimination found no PSD witness")
         d = S[0][0]
         if d < 0:
             return [ONE] + [ZERO] * (n - 1)

@@ -2,24 +2,38 @@
 
 Maximizes a linear functional of a symmetric m x m matrix variable over the
 intersection of a polytope (inequalities/equalities on the upper-triangle
-coordinates) with the positive semidefinite cone.  Path-following with
-damped Newton steps on the -log det / -log slack barrier; a phase-1 pass
-minimizes the worst constraint violation, and a tiny uniform relaxation
-`delta` keeps the method well defined on feasible sets with empty interior
-(which really occur: some games' DNN-cap-CE set is a single rank-1 matrix).
-The reported value therefore carries tolerance `gap + O(delta)`, never an
-exactness claim.
+coordinates) with the positive semidefinite cone.
+
+Exact preprocessing comes first.  Inequalities that are tight on the whole
+polytope join the equalities, and one exact solve of the equalities gives
+their affine hull: a rational point u0 and a null-space basis of size k.
+When k = 0 the polytope is the single point u0 and no barrier runs: an exact
+PSD test of W(u0) makes the program optimal at u0 or infeasible.
+
+When k >= 1 the barrier runs in the coordinates z of u = u0 + Q z, with Q an
+orthonormal float basis of that null space, so every Newton step solves an
+unconstrained k x k system and no iterate drifts off the equality plane.
+One centering routine serves both phases.  Phase 1 appends a variable s
+that enters every slack and the PSD block, and drives it below zero; phase
+2 follows the central path of the objective, with t growing tenfold per
+centering.  A tiny uniform relaxation `delta` keeps the method well defined
+on feasible sets with empty interior (which really occur: some games'
+DNN-cap-CE set is a single rank-1 matrix), so a barrier value carries
+tolerance `gap + O(delta)`, never an exactness claim.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import rank
+from .exactlin import ExactCheckError, solve
+from .exchange import is_psd_exact
 from .nash import rational_exchangeable_point
 from .polytope import SymCEIndex, ce_system
 from .simplex import LinearSystem, lp_solve
+
+STOP_REASONS = ("converged", "line_search_failed", "singular", "step_cap")
 
 
 @dataclass(frozen=True)
@@ -32,6 +46,8 @@ class SdpProblem:
     f: np.ndarray
     start: object = None           # optional exactly-feasible start vector
     linear_infeasible: bool = False  # exact verdict from preprocessing
+    u0: tuple = None               # exact point with E u0 = f
+    Q: np.ndarray = None           # orthonormal basis of null(E), dim x k
 
     @property
     def dim(self):
@@ -45,15 +61,18 @@ class SdpResult:
     matrix: np.ndarray
     gap: float
     delta: float
-    iterations: int
+    iterations: int                # centerings, both phases
     residuals: dict
+    # k, and per phase the centerings, Newton steps and backtracks, plus a
+    # count of each reason a centering stopped (STOP_REASONS)
+    stats: dict = field(default_factory=dict)
 
 
 def _split_implicit_equalities(system):
     """Exact preprocessing: inequalities whose slack is zero everywhere on
     the feasible set are really equalities, and leaving them as inequalities
-    ruins the barrier's conditioning.  Returns (inequalities, equalities)
-    with dependent equality rows dropped so KKT systems stay regular."""
+    ruins the barrier's conditioning.  Returns (inequalities, equalities,
+    linear_infeasible); the equalities may be linearly dependent."""
     n = system.num_vars
     zero = Fraction(0)
     one = Fraction(1)
@@ -88,21 +107,15 @@ def _split_implicit_equalities(system):
             eqs.append((a, b))
         else:
             ineqs.append((a, b))
-    kept, rows = [], []
-    for a, b in eqs:
-        cand = rows + [list(a) + [b]]
-        if rank(cand) > len(rows):
-            kept.append((a, b))
-            rows = cand
-    return ineqs, kept, False
+    return ineqs, eqs, False
 
 
 def problem_from_system(m, system, objective_matrix, start=None):
     """Wrap a symmetric-coordinates LinearSystem plus a PSD constraint.
 
     `start`, when given, must be an exactly feasible symmetric matrix; it
-    lets the barrier skip its feasibility phase on problems whose
-    feasibility is known by construction."""
+    lets the barrier fall back on a known point when its feasibility phase
+    stalls."""
     index = SymCEIndex(m)
     n = index.size
     ineqs, eqs, linear_infeasible = _split_implicit_equalities(system)
@@ -118,11 +131,12 @@ def problem_from_system(m, system, objective_matrix, start=None):
         [[float(objective_matrix[i][j]) for j in range(m)] for i in range(m)]
     )
     obj = 0.5 * (obj + obj.T)
-    u0 = None
+    u_start = None
     if start is not None:
-        u0 = np.array(
+        u_start = np.array(
             [float(start[i][j]) for i, j in zip(*_triu_indices(m))]
         )
+    u0, Q = (None, None) if linear_infeasible else _affine_hull(n, eqs)
     return SdpProblem(
         m=m,
         objective=obj,
@@ -130,9 +144,27 @@ def problem_from_system(m, system, objective_matrix, start=None):
         h=h,
         E=E,
         f=f,
-        start=u0,
+        start=u_start,
         linear_infeasible=linear_infeasible,
+        u0=u0,
+        Q=Q,
     )
+
+
+def _affine_hull(n, eqs):
+    """Exact point u0 and orthonormal float basis Q (n x k) of the solutions
+    of the equality rows."""
+    if not eqs:
+        return (Fraction(0),) * n, np.eye(n)
+    sol = solve([list(a) for a, _ in eqs], [b for _, b in eqs])
+    if sol is None:
+        raise ExactCheckError("the equalities of a feasible system came out "
+                              "inconsistent")
+    u0, basis = sol
+    if not basis:
+        return tuple(u0), np.zeros((n, 0))
+    Q, _ = np.linalg.qr(np.array([[float(x) for x in v] for v in basis]).T)
+    return tuple(u0), Q
 
 
 def _triu_indices(m):
@@ -150,7 +182,7 @@ def dnn_ce_problem(game, objective_matrix=None):
         objective_matrix = game.A
     try:
         start = rational_exchangeable_point(game).P
-    except Exception:
+    except ValueError:  # no symmetric Nash point found, or over budget
         start = None
     return problem_from_system(
         game.m,
@@ -161,7 +193,7 @@ def dnn_ce_problem(game, objective_matrix=None):
 
 
 class _Geometry:
-    """Index bookkeeping shared by both phases."""
+    """Index bookkeeping between upper-triangle vectors and matrices."""
 
     def __init__(self, m):
         self.m = m
@@ -180,100 +212,79 @@ class _Geometry:
     def vec_obj(self, C):
         return self.mu * C[self.I, self.J]
 
-    def logdet_terms(self, Minv):
-        grad = -self.mu * Minv[self.I, self.J]
-        T1 = Minv[np.ix_(self.I, self.I)] * Minv[np.ix_(self.J, self.J)]
-        T2 = Minv[np.ix_(self.I, self.J)] * Minv[np.ix_(self.J, self.I)]
-        hess = 0.5 * np.outer(self.mu, self.mu) * (T1 + T2)
-        return grad, hess
 
+def _center(W0, Ms, G, h0, c, z, t, tol_dec, max_steps=60):
+    """Minimize -t c.z - log det(W0 + sum_i z_i Ms[i]) - sum log(h0 - G z)
+    by damped Newton steps from a strictly feasible z.
 
-def _chol_ok(W):
-    try:
-        np.linalg.cholesky(W)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    Returns (z, reason, steps, backtracks), where reason is one of
+    STOP_REASONS: `line_search_failed` means no Armijo step stays inside the
+    domain, i.e. float64 cannot improve this center any more, and
+    `singular` that the Newton system (or the start) could not be factored.
+    """
+    p, m = len(z), len(W0)
+    M = Ms.reshape(p, m * m)
 
-
-def _newton_loop(
-    geom, cost, G, h, E, f, u0, delta_psd, t, max_inner=60, tol_dec=1e-10
-):
-    """Center -t*cost.u + barrier(u) subject to E u = f, starting from the
-    strictly feasible u0.  Returns the centered point."""
-    d = len(u0)
-    u = u0.copy()
-    neq = E.shape[0]
-    proj = _nullspace_projector(E, d)
-    for _ in range(max_inner):
-        W = geom.mat(u) + delta_psd * np.eye(geom.m)
-        Minv = np.linalg.inv(W)
-        g_psd, H_psd = geom.logdet_terms(Minv)
-        slack = h - G @ u
-        grad = -t * cost + g_psd + G.T @ (1.0 / slack)
-        hess = H_psd + (G / slack[:, None] ** 2).T @ G
-        hess = hess + 1e-12 * np.eye(d)
-        kkt = np.zeros((d + neq, d + neq))
-        kkt[:d, :d] = hess
-        kkt[:d, d:] = E.T
-        kkt[d:, :d] = E
-        rhs = np.concatenate([-grad, f - E @ u])
+    def merit(z):
+        slack = h0 - G @ z
+        if np.any(slack <= 0):
+            return None
+        # one Cholesky both tests W > 0 and gives log det W; a positive
+        # determinant alone does not imply PSD
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            L = np.linalg.cholesky(W0 + (z @ M).reshape(m, m))
         except np.linalg.LinAlgError:
-            break
-        # the KKT solve turns ill-conditioned near the boundary and can
-        # leak a small component off the equality plane; project it away so
-        # iterates stay exactly feasible
-        du = proj(sol[:d])
-        dec = float(du @ hess @ du)
+            return None
+        logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
+        return -t * float(c @ z) - logdet - float(np.log(slack).sum()), L, slack
+
+    cur = merit(z)
+    if cur is None:
+        return z, "singular", 0, 0
+    backtracks = 0
+    for step in range(max_steps):
+        val, L, slack = cur
+        Li = np.linalg.inv(L)
+        # with B_i = L^-1 M_i L^-T: d/dz_i -log det W = -tr B_i and the
+        # Hessian entry (i, j) is <B_i, B_j>
+        B = (Li @ Ms @ Li.T).reshape(p, m * m)
+        Gs = G / slack[:, None]
+        grad = -t * c - B[:, :: m + 1].sum(axis=1) + Gs.sum(axis=0)
+        hess = B @ B.T + Gs.T @ Gs + 1e-12 * np.eye(p)
+        try:
+            dz = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            return z, "singular", step, backtracks
+        dec = float(dz @ hess @ dz)
         if not np.isfinite(dec):
-            break
-        # backtracking line search staying strictly inside the domain; a
-        # failed search means float64 cannot improve this center any more
+            return z, "singular", step, backtracks
         alpha = 1.0
-        base = -t * cost @ u - _barrier_value(geom, u, G, h, delta_psd)
-        ok = False
         while alpha >= 1e-12:
-            u2 = u + alpha * du
-            s2 = h - G @ u2
-            if np.all(s2 > 0) and _chol_ok(
-                geom.mat(u2) + delta_psd * np.eye(geom.m)
-            ):
-                val2 = -t * cost @ u2 - _barrier_value(
-                    geom, u2, G, h, delta_psd
-                )
-                if val2 <= base - 0.01 * alpha * dec:
-                    ok = True
-                    break
+            nxt = merit(z + alpha * dz)
+            if nxt is not None and nxt[0] <= val - 0.01 * alpha * dec:
+                break
             alpha *= 0.5
-        if not ok:
-            break
-        moved = alpha * float(np.linalg.norm(du))
-        u = u2
-        if dec / 2.0 < tol_dec or moved < 1e-12 * (1.0 + float(np.linalg.norm(u))):
-            break
-    return u
+            backtracks += 1
+        else:
+            return z, "line_search_failed", step, backtracks
+        z, cur = z + alpha * dz, nxt
+        moved = alpha * float(np.linalg.norm(dz))
+        if dec / 2.0 < tol_dec or moved < 1e-12 * (
+            1.0 + float(np.linalg.norm(z))
+        ):
+            return z, "converged", step + 1, backtracks
+    return z, "step_cap", max_steps, backtracks
 
 
-def _nullspace_projector(E, d):
-    """Orthogonal projection onto the null space of E (identity when E is
-    empty); keeps Newton steps on the equality plane."""
-    if not E.size:
-        return lambda v: v
-    P = np.eye(d) - E.T @ np.linalg.pinv(E @ E.T) @ E
-    return lambda v: P @ v
-
-
-def _barrier_value(geom, u, G, h, delta_psd):
-    W = geom.mat(u) + delta_psd * np.eye(geom.m)
-    if not _chol_ok(W):
-        return -np.inf
-    slack = h - G @ u
-    if np.any(slack <= 0):
-        return -np.inf
-    _, logdet = np.linalg.slogdet(W)
-    return logdet + float(np.sum(np.log(slack)))
+def _residuals(problem, geom, u):
+    G, h, E, f = problem.G, problem.h, problem.E, problem.f
+    return {
+        "max_inequality_violation": float(np.max(G @ u - h)) if G.size else 0.0,
+        "max_equality_violation": float(np.max(np.abs(E @ u - f)))
+        if E.size
+        else 0.0,
+        "min_eigenvalue": float(np.linalg.eigvalsh(geom.mat(u)).min()),
+    }
 
 
 def sdp_solve(problem, tol=1e-8, delta=1e-8):
@@ -282,36 +293,75 @@ def sdp_solve(problem, tol=1e-8, delta=1e-8):
 
     Returns an SdpResult whose gap field is the final barrier duality-gap
     estimate; `value` approximates the true optimum within gap + O(delta).
+    When the equalities pin a single point u0 the answer is exact: optimal
+    at u0 with gap 0 if W(u0) is PSD, infeasible otherwise.
     """
-    geom = _Geometry(problem.m)
-    d = problem.dim
+    m = problem.m
+    geom = _Geometry(m)
     G, h = problem.G, problem.h
-    E, f = problem.E, problem.f
     cost = geom.vec_obj(problem.objective)
+    stats = {
+        "k": None,
+        "phase1": {"centerings": 0, "newton_steps": 0, "backtracks": 0},
+        "phase2": {"centerings": 0, "newton_steps": 0, "backtracks": 0},
+        "stops": dict.fromkeys(STOP_REASONS, 0),
+    }
+
+    def result(status, value, u, gap, residuals):
+        return SdpResult(
+            status=status,
+            value=value,
+            matrix=geom.mat(u),
+            gap=gap,
+            delta=delta,
+            iterations=stats["phase1"]["centerings"]
+            + stats["phase2"]["centerings"],
+            residuals=residuals,
+            stats=stats,
+        )
 
     if problem.linear_infeasible:
         # the exact preprocessing LP already proved the polytope empty
-        return SdpResult(
-            status="infeasible",
-            value=float("nan"),
-            matrix=np.zeros((problem.m, problem.m)),
-            gap=0.0,
-            delta=delta,
-            iterations=0,
-            residuals={"phase1_s": float("inf")},
+        return result(
+            "infeasible", float("nan"), np.zeros(problem.dim), 0.0,
+            {"phase1_s": float("inf")},
         )
+
+    Q = problem.Q
+    k = Q.shape[1]
+    stats["k"] = k
+    u0 = np.array([float(x) for x in problem.u0])
+    if k == 0:
+        # the polytope is the single exact point u0
+        W = [list(row) for row in SymCEIndex(m).vec_to_matrix(problem.u0)]
+        if is_psd_exact(W)[0]:
+            value, status = float(cost @ u0), "optimal"
+        else:
+            value, status = float("nan"), "infeasible"
+        return result(status, value, u0, 0.0, _residuals(problem, geom, u0))
+
+    def center(phase, *args):
+        z, reason, steps, backtracks = _center(*args)
+        record = stats[phase]
+        record["centerings"] += 1
+        record["newton_steps"] += steps
+        record["backtracks"] += backtracks
+        stats["stops"][reason] += 1
+        return z
+
+    Ms = np.stack([geom.mat(q) for q in Q.T])
+    GQ = G @ Q
+    eye = np.eye(m)
+    W_u0 = geom.mat(u0)
+    slack_u0 = h - G @ u0
 
     # candidate start: uniform matrix blended toward the scaled identity,
     # projected onto the equality plane; strictly feasible for many games
     eps = 1e-2
-    m = problem.m
-    W0 = (1.0 - eps) * np.full((m, m), 1.0 / (m * m)) + eps * np.eye(m) / m
-    u = W0[geom.I, geom.J]
-    if E.size:
-        r0 = f - E @ u
-        u = u + E.T @ np.linalg.lstsq(E @ E.T, r0, rcond=None)[0]
-    W0 = geom.mat(u)
-    lam_min = float(np.linalg.eigvalsh(W0).min())
+    W_start = (1.0 - eps) * np.full((m, m), 1.0 / (m * m)) + eps * eye / m
+    z = Q.T @ (W_start[geom.I, geom.J] - u0)
+    u = u0 + Q @ z
+    lam_min = float(np.linalg.eigvalsh(geom.mat(u)).min())
     viol = float(np.max(G @ u - h)) if G.size else 0.0
     margin = 1e-8
     interior = viol < -margin and lam_min > margin
@@ -320,165 +370,68 @@ def sdp_solve(problem, tol=1e-8, delta=1e-8):
     def validated_hint():
         # an exactly feasible hint is delta-interior for the relaxed
         # program; it rescues instances where phase 1 stalls on a
-        # rank-deficient boundary (float noise makes its Hessian indefinite)
+        # rank-deficient boundary
         if problem.start is None:
             return None
         u1 = np.asarray(problem.start, dtype=float)
+        E, f = problem.E, problem.f
         eqres = float(np.max(np.abs(E @ u1 - f))) if E.size else 0.0
         slmin = float(np.min(h - G @ u1)) if G.size else 0.0
         lam1 = float(np.linalg.eigvalsh(geom.mat(u1)).min())
         if eqres <= 1e-9 and slmin >= -1e-12 and lam1 >= -1e-12:
-            return u1
+            return Q.T @ (u1 - u0)
         return None
 
-    # extended geometry: variable (u, s); s enters every slack and the PSD
-    # block diagonally, which is exactly a bordered version of the same
-    # barrier.  Reuse the machinery by augmenting G and the matrix map.
-    geom1 = _Geometry(problem.m)
-    diag_idx = np.where(geom1.I == geom1.J)[0]
-
-    # phase 1 works against half-relaxed constraints so that feasible sets
-    # with empty interior (single points, flat faces) still have margin
-    # delta/2 and center to a strictly negative s
-    half = 0.5 * delta
-
-    def phase1_center(u, s, t):
-        z = np.concatenate([u, [s]])
-        Gx = np.hstack([G, -np.ones((G.shape[0], 1))])
-        Ex = np.hstack([E, np.zeros((E.shape[0], 1))]) if E.size else E
-        costx = np.zeros(d + 1)
-        costx[-1] = -1.0  # maximize -s == minimize s
-        proj = _nullspace_projector(Ex if E.size else E, d + 1)
-        for _ in range(60):
-            W = geom1.mat(z[:d]) + (z[d] + half) * np.eye(problem.m)
-            try:
-                Minv = np.linalg.inv(W)
-            except np.linalg.LinAlgError:
-                break
-            g_psd, H_psd = geom1.logdet_terms(Minv)
-            gs = -float(np.trace(Minv))
-            Hss = float(np.sum(Minv * Minv))
-            Hus = np.zeros(d)
-            # cross terms d2/du dk ds of -logdet(W(u)+sI)
-            T = Minv @ Minv
-            Hus = 0.5 * geom1.mu * (T[geom1.I, geom1.J] + T[geom1.J, geom1.I])
-            slack = h + half - Gx[:, :d] @ z[:d] + z[d]
-            grad_u = -t * costx[:d] + g_psd + Gx[:, :d].T @ (1.0 / slack)
-            grad_s = -t * costx[d] + gs - float(np.sum(1.0 / slack))
-            grad = np.concatenate([grad_u, [grad_s]])
-            hess = np.zeros((d + 1, d + 1))
-            hess[:d, :d] = H_psd + (
-                Gx[:, :d] / slack[:, None] ** 2
-            ).T @ Gx[:, :d]
-            hess[:d, d] = Hus - Gx[:, :d].T @ (1.0 / slack**2)
-            hess[d, :d] = hess[:d, d]
-            hess[d, d] = Hss + float(np.sum(1.0 / slack**2))
-            hess += 1e-12 * np.eye(d + 1)
-            neq = E.shape[0]
-            kkt = np.zeros((d + 1 + neq, d + 1 + neq))
-            kkt[: d + 1, : d + 1] = hess
-            if neq:
-                kkt[: d + 1, d + 1 :] = Ex.T
-                kkt[d + 1 :, : d + 1] = Ex
-                rhs = np.concatenate([-grad, f - Ex @ z])
-            else:
-                rhs = -grad
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                break
-            dz = proj(sol[: d + 1])
-            dec = float(dz @ hess @ dz)
-            if not np.isfinite(dec):
-                break
-
-            def merit(zz):
-                W2 = geom1.mat(zz[:d]) + (zz[d] + half) * np.eye(problem.m)
-                sl2 = h + half - G @ zz[:d] + zz[d]
-                # a positive determinant does not imply PSD (two negative
-                # eigenvalues also give one), so test with a Cholesky
-                if np.any(sl2 <= 0) or not _chol_ok(W2):
-                    return np.inf
-                _, logdet = np.linalg.slogdet(W2)
-                return t * zz[d] - logdet - float(np.sum(np.log(sl2)))
-
-            base = merit(z)
-            alpha = 1.0
-            moved = False
-            while alpha >= 1e-12:
-                z2 = z + alpha * dz
-                if merit(z2) <= base - 0.01 * alpha * dec:
-                    moved = True
-                    break
-                alpha *= 0.5
-            if not moved:
-                break
-            step = alpha * float(np.linalg.norm(dz))
-            z = z2
-            if dec / 2.0 < 1e-12 or step < 1e-12 * (1.0 + float(np.linalg.norm(z))):
-                break
-        return z[:d], z[d]
-
-    nu1 = problem.m + len(h)
+    nu = m + len(h)
     t1 = 1.0
-    iterations = 0
     if not interior:
-        # drive s well below zero, not just below the tolerance: phase 2
-        # needs a genuinely interior start or its first centerings stall on
-        # the boundary
+        # phase 1 in (z, s): s is one more coordinate whose matrix is I and
+        # whose column in G is -1, and the cost minimizes s.  It works
+        # against half-relaxed constraints, so that feasible sets with empty
+        # interior (single points, flat faces) still have margin delta/2
+        # and center to a strictly negative s; it drives s well below zero,
+        # not just below the tolerance, because phase 2 needs a genuinely
+        # interior start or its first centerings stall on the boundary
+        half = 0.5 * delta
+        Ms1 = np.concatenate([Ms, eye[None]])
+        G1 = np.hstack([GQ, -np.ones((len(h), 1))])
+        c1 = np.zeros(k + 1)
+        c1[k] = -1.0
         for _ in range(40):
-            u, s = phase1_center(u, s, t1)
-            iterations += 1
+            zs = center(
+                "phase1", W_u0 + half * eye, Ms1, G1, slack_u0 + half, c1,
+                np.append(z, s), t1, 1e-12,
+            )
+            z, s = zs[:k], float(zs[k])
             if s < -1e-3:
                 break
-            if nu1 / t1 < 0.25 * delta:
+            if nu / t1 < 0.25 * delta:
                 break
             t1 *= 10.0
-    else:
-        s = 0.0
-    if s >= 0.5 * delta:
+    if not interior and s >= 0.5 * delta:
         hint = validated_hint()
         if hint is None:
             # certified-enough infeasibility of the relaxed program: the
             # centered minimum of s stayed above delta/2 with a tiny gap
-            return SdpResult(
-                status="infeasible",
-                value=float("nan"),
-                matrix=geom.mat(u),
-                gap=nu1 / t1,
-                delta=delta,
-                iterations=iterations,
-                residuals={"phase1_s": s},
+            return result(
+                "infeasible", float("nan"), u0 + Q @ z, nu / t1,
+                {"phase1_s": s},
             )
-        u = hint
+        z = hint
 
     # phase 2
-    nu = problem.m + len(h)
+    cz = Q.T @ cost
     t = 1.0
     for _ in range(40):
-        u = _newton_loop(geom, cost, G, h + delta, E, f, u, delta, t)
-        iterations += 1
+        z = center(
+            "phase2", W_u0 + delta * eye, Ms, GQ, slack_u0 + delta, cz, z, t,
+            1e-10,
+        )
         if nu / t < tol:
             break
         t *= 10.0
 
-    W = geom.mat(u)
-    eigs = np.linalg.eigvalsh(W)
-    residuals = {
-        "max_inequality_violation": float(np.max(G @ u - h)) if G.size else 0.0,
-        "max_equality_violation": float(np.max(np.abs(E @ u - f)))
-        if E.size
-        else 0.0,
-        "min_eigenvalue": float(eigs.min()),
-    }
+    u = u0 + Q @ z
     value = float(cost @ u)
     status = "optimal" if np.isfinite(value) else "numerical_failure"
-    return SdpResult(
-        status=status,
-        value=value,
-        matrix=W,
-        gap=nu / t,
-        delta=delta,
-        iterations=iterations,
-        residuals=residuals,
-    )
+    return result(status, value, u, nu / t, _residuals(problem, geom, u))

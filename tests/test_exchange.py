@@ -1,12 +1,17 @@
 """Conditional-i.i.d. certification and completely positive factorization."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import symmeq
 from symmeq import (
+    ExactCheckError,
     JointDistribution,
     MixedStrategy,
     certify_conditionally_iid,
@@ -238,3 +243,40 @@ def test_scheme_sampler_matches_exact_distribution(utility_gap_game):
 def test_uniform_is_conditionally_iid():
     v = certify_conditionally_iid(uniform_distribution(3))
     assert v.conditionally_iid
+
+
+def test_failed_witness_check_raises(monkeypatch):
+    monkeypatch.setattr(symmeq.exchange, "_quadratic_form", lambda W, z: 0)
+    with pytest.raises(ExactCheckError):
+        is_psd_exact([[F(1), F(2)], [F(2), F(1)]])
+
+
+def test_missing_witness_raises(monkeypatch):
+    # a PSD matrix wrongly taken to have a negative minor leaves the
+    # elimination without a witness
+    monkeypatch.setattr(symmeq.exchange, "det", lambda a: F(-1))
+    with pytest.raises(ExactCheckError):
+        is_psd_exact([[F(1), F(0)], [F(0), F(1)]])
+
+
+def test_failed_witness_check_raises_under_python_O():
+    # python -O strips assert statements; the check must still run
+    script = """
+import symmeq.exchange
+from fractions import Fraction as F
+from symmeq import ExactCheckError, is_psd_exact
+if __debug__:
+    raise SystemExit(2)
+symmeq.exchange._quadratic_form = lambda W, z: 0
+try:
+    is_psd_exact([[F(1), F(2)], [F(2), F(1)]])
+except ExactCheckError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    root = os.path.dirname(os.path.dirname(symmeq.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

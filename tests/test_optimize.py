@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmeq import (
     CE_SYM,
@@ -209,3 +211,65 @@ def test_degenerate_game_max_utility_raises():
 def test_dimension_mismatch(chicken):
     with pytest.raises(ValueError):
         membership(chicken, uniform_distribution(3), CE_SYM)
+
+
+def xe_tolerance(r):
+    """Tolerance an XE optimum reports: none when exact, else the barrier's
+    gap plus its relaxation delta."""
+    return 0 if r.exact else r.detail.gap + r.detail.delta
+
+
+def assert_nested(game):
+    lo = max_utility(game, CONV_NASH_SYM).value
+    xe = max_utility(game, XE_SYM)
+    hi = max_utility(game, CE_SYM).value
+    tol = xe_tolerance(xe)
+    assert float(lo) <= float(xe.value) + tol, (game.A, lo, xe.value)
+    assert float(xe.value) <= float(hi) + tol, (game.A, xe.value, hi)
+
+
+# games on which the barrier once stopped short of the XE optimum and
+# reported a value below conv-Nash: the pure Nash product e1 e1^T of the
+# first lies in XE but the value came out 1.47 against 4; the others are
+# integer 3x3 games with entries in [-5, 5] that showed the same fault
+XE_SHORTFALL_GAMES = [
+    [[4, -5, 1], [3, -3, 3], [3, -2, 1]],
+    [[1, -5, 3], [1, 4, 0], [-2, 0, -2]],
+    [[1, -5, -1], [1, -1, 1], [-2, 4, -1]],
+    [[2, 2, -2], [-1, -4, 1], [-1, -1, 0]],
+    [[3, 3, 5], [2, 4, 2], [2, 5, -2]],
+    [[1, -3, -3], [-3, -4, 0], [-3, 5, -2]],
+    [[4, 2, 2], [-3, 2, 3], [3, 1, 2]],
+]
+
+
+@pytest.mark.parametrize("A", XE_SHORTFALL_GAMES)
+def test_xe_optimum_reaches_conv_nash(A):
+    assert_nested(SymmetricGame(m=3, A=A))
+
+
+def games_without_best_response_ties():
+    # distinct entries in every column: against each pure strategy the best
+    # response is unique
+    def game(m):
+        column = st.lists(
+            st.integers(-5, 5), min_size=m, max_size=m, unique=True
+        )
+        return st.lists(column, min_size=m, max_size=m).map(
+            lambda cols: SymmetricGame(
+                m=m, A=[[cols[j][i] for j in range(m)] for i in range(m)]
+            )
+        )
+
+    return st.sampled_from([2, 3]).flatmap(game)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(games_without_best_response_ties())
+def test_utility_optima_are_nested(game):
+    # conv(nash_sym) <= xe_sym <= ce_sym for the utility optima
+    try:
+        max_utility(game, CONV_NASH_SYM)
+    except DegenerateGameError:
+        return
+    assert_nested(game)

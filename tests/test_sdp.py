@@ -206,3 +206,38 @@ def test_pure_coordination_prefers_diagonal(coordination):
     # the argmax concentrates on the diagonal
     W = res.matrix
     assert W[0][1] + W[1][0] < 1e-4
+
+
+def test_pinned_point_needs_no_barrier():
+    # strategy 2 strictly dominates, so the CE inequalities pin the
+    # polytope to the pure product e2 e2^T and no centering runs
+    game = SymmetricGame(m=2, A=((3, 0), (5, 1)))
+    res = sdp_solve(dnn_ce_problem(game))
+    assert res.status == "optimal"
+    assert res.iterations == 0 and res.stats["k"] == 0
+    assert res.value == 1.0 and res.gap == 0.0
+    assert np.array_equal(res.matrix, [[0.0, 0.0], [0.0, 1.0]])
+    assert res.residuals["max_equality_violation"] == 0.0
+    assert res.residuals["max_inequality_violation"] <= 0.0
+
+
+def test_pinned_point_outside_psd_cone_is_infeasible():
+    # W = [[0, 1/2], [1/2, 0]] meets every equality but is not PSD
+    system = LinearSystem(
+        num_vars=3,
+        inequalities=[],
+        equalities=[([1, 0, 0], 0), ([0, 1, 0], F(1, 2)), ([0, 0, 1], 0)],
+    )
+    res = sdp_solve(problem_from_system(2, system, [[1, 0], [0, 1]]))
+    assert res.status == "infeasible"
+    assert res.iterations == 0
+
+
+def test_stats_account_for_every_centering(hidden_state_game):
+    res = sdp_solve(dnn_ce_problem(hidden_state_game))
+    stats = res.stats
+    assert stats["k"] >= 1
+    phases = stats["phase1"], stats["phase2"]
+    assert sum(p["centerings"] for p in phases) == res.iterations
+    assert sum(stats["stops"].values()) == res.iterations
+    assert stats["phase2"]["newton_steps"] >= stats["phase2"]["centerings"]
