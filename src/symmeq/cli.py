@@ -5,25 +5,28 @@ distribution in one equilibrium set), extend (N-exchangeable extendability
 of a distribution), minority (balanced-split extension parity table).
 
 Exit codes: 0 success/In/Feasible, 1 Out/Infeasible, 2 parse error,
-3 budget exceeded, 4 Inconclusive.
+3 budget exceeded, 4 Inconclusive, 5 internal error (a failed exact check
+or any other unexpected exception; the traceback goes to stderr).
 """
 
 import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from fractions import Fraction
 from importlib import metadata, resources
 
 import numpy as np
 
 from .games import (
+    DEFAULT_TOL,
     BudgetExceededError,
     DimensionError,
     JointDistribution,
     SymmetricGame,
 )
-from .nash import enumerate_nash, enumerate_symmetric_nash
+from .nash import enumerate_nash, symmetric_part
 from .optimize import (
     CE_SYM,
     CONV_NASH_SYM,
@@ -50,6 +53,7 @@ EXIT_OUT = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 VERTEX_ENUM_MAX_M = 4
 
@@ -115,7 +119,7 @@ def _base_report(args, game):
         "tool": "symmeq",
         "version": _version(),
         "seed": getattr(args, "seed", 0),
-        "tol": getattr(args, "tol", 1e-8),
+        "tol": getattr(args, "tol", DEFAULT_TOL),
         "game": game.to_dict(),
     }
 
@@ -129,8 +133,9 @@ def cmd_analyze(args):
     game = _load_game(args.game_file)
     report = _base_report(args, game)
 
+    # one enumeration serves the report, the XE start and conv-Nash
     nash = enumerate_nash(game)
-    sym = enumerate_symmetric_nash(game)
+    sym = symmetric_part(nash)
     report["nash"] = {
         "degenerate": nash.degenerate,
         "sym_degenerate": nash.sym_degenerate,
@@ -155,7 +160,7 @@ def cmd_analyze(args):
     table = {}
     ce = max_utility(game, CE_SYM)
     table[CE_SYM] = {"value": jsonable(ce.value), "exact": True}
-    xe = max_utility(game, XE_SYM, tol=args.tol, seed=args.seed)
+    xe = max_utility(game, XE_SYM, tol=args.tol, seed=args.seed, nash=sym)
     table[XE_SYM] = {
         "value": jsonable(xe.value),
         "exact": xe.exact,
@@ -163,7 +168,7 @@ def cmd_analyze(args):
         "tolerance": None if xe.exact else args.tol + 1e-6,
     }
     try:
-        cn = max_utility(game, CONV_NASH_SYM)
+        cn = max_utility(game, CONV_NASH_SYM, nash=sym)
         table[CONV_NASH_SYM] = {"value": jsonable(cn.value), "exact": True}
     except DegenerateGameError as exc:
         cn = None
@@ -331,7 +336,7 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("analyze", help="full report on a game file")
     p.add_argument("game_file")
@@ -379,6 +384,10 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

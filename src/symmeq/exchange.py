@@ -15,6 +15,7 @@ import numpy as np
 
 from .exactlin import ZERO, ONE, ExactCheckError, det, frac
 from .games import (
+    DEFAULT_TOL,
     BudgetExceededError,
     JointDistribution,
     MixedStrategy,
@@ -160,7 +161,7 @@ def _zero_pattern_witness(P, m):
     return None
 
 
-def certify_conditionally_iid(W, tol=1e-9, factorize=True, seed=0):
+def certify_conditionally_iid(W, tol=DEFAULT_TOL, factorize=True, seed=0):
     """Decide whether a joint distribution is conditionally i.i.d.
 
     Certificate priority: asymmetry, then the zero-pattern rule, then an
@@ -210,7 +211,7 @@ def certify_conditionally_iid(W, tol=1e-9, factorize=True, seed=0):
     )
 
 
-def cp_factorize(W, tol=1e-9, starts=20, iters=5000, seed=0, k=None):
+def cp_factorize(W, tol=DEFAULT_TOL, starts=20, iters=5000, seed=0, k=None):
     """Search for a completely positive factorization W = B B^T, B >= 0.
 
     Multi-start projected-gradient descent on ||W - B B^T||_F^2 with a

@@ -11,6 +11,10 @@ from fractions import Fraction
 
 from .exactlin import ZERO, frac
 
+# the one default numerical tolerance of the float-guided solvers (the SDP
+# barrier's gap, CP factorisation) and of the CLI's --tol
+DEFAULT_TOL = 1e-8
+
 
 class DimensionError(ValueError):
     """Raised when matrix/vector dimensions do not match."""

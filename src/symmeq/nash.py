@@ -10,7 +10,7 @@ e.g. best-response ties admitting asymmetric continua) and
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactlin import ZERO, ONE, mat_vec, solve, frac
@@ -37,6 +37,9 @@ class NashEnumeration:
     degenerate: bool
     sym_degenerate: bool
     degenerate_supports: tuple = ()
+    # support_pairs: balanced pairs (S, T) visited; systems_solved:
+    # indifference systems solved; degenerate_pairs: pairs flagged
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 def verify_nash(game, x, y):
@@ -159,15 +162,26 @@ def enumerate_nash(game):
     degenerate = False
     sym_degenerate = False
     degenerate_supports = []
+    # each ordered pair's system serves twice: as ys at (S, T) and as xs at
+    # (T, S); the dict lives for this call only
+    solved = {}
+
+    def solutions(rows, cols):
+        if (rows, cols) not in solved:
+            solved[rows, cols] = _support_solutions(game, rows, cols)
+        return solved[rows, cols]
+
+    pairs = 0
     for S in supports:
         for T in supports:
             if len(S) != len(T):
                 continue
-            ys, under_y, feas_y = _support_solutions(game, S, T)
+            pairs += 1
+            ys, under_y, feas_y = solutions(S, T)
             # x lives on S and makes the column player's strategies T
             # indifferent; the column player's payoff for pure j is (Ax)_j,
             # so the same solver applies with the roles swapped.
-            xs, under_x, feas_x = _support_solutions(game, T, S)
+            xs, under_x, feas_x = solutions(T, S)
             tie = any(t for _, t in ys) or any(t for _, t in xs)
             under = (under_y and feas_y) or (under_x and feas_x)
             if tie or under:
@@ -197,13 +211,18 @@ def enumerate_nash(game):
         degenerate=degenerate,
         sym_degenerate=sym_degenerate,
         degenerate_supports=tuple(degenerate_supports),
+        stats={
+            "support_pairs": pairs,
+            "systems_solved": len(solved),
+            "degenerate_pairs": len(degenerate_supports),
+        },
     )
 
 
-def enumerate_symmetric_nash(game):
-    """All isolated symmetric Nash strategies, canonically sorted
-    (by support size, then support, then vector)."""
-    enum = enumerate_nash(game)
+def symmetric_part(enum):
+    """The symmetric Nash strategies of a full enumeration, canonically
+    sorted (by support size, then support, then vector), with its flags
+    and stats."""
     seen = {}
     for pt in enum.points:
         if pt.symmetric:
@@ -219,7 +238,14 @@ def enumerate_symmetric_nash(game):
         degenerate=enum.degenerate,
         sym_degenerate=enum.sym_degenerate,
         degenerate_supports=enum.degenerate_supports,
+        stats=enum.stats,
     )
+
+
+def enumerate_symmetric_nash(game):
+    """All isolated symmetric Nash strategies: `symmetric_part` of
+    `enumerate_nash(game)`."""
+    return symmetric_part(enumerate_nash(game))
 
 
 def rational_exchangeable_point(game):

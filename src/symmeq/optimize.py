@@ -18,7 +18,7 @@ from .exchange import (
     certify_conditionally_iid,
     is_psd_exact,
 )
-from .games import JointDistribution, expected_utility, outer
+from .games import DEFAULT_TOL, JointDistribution, expected_utility, outer
 from .nash import enumerate_symmetric_nash
 from .polytope import SymCEIndex, ce_system
 from .sdp import dnn_ce_problem, sdp_solve
@@ -109,7 +109,7 @@ def _ce_violation(game, W):
     return None
 
 
-def membership(game, W, set_name, tol=1e-9, seed=0):
+def membership(game, W, set_name, tol=DEFAULT_TOL, seed=0):
     """Exact membership of a joint distribution in one equilibrium set.
 
     Out verdicts always carry a re-verifiable certificate; XE_sym answers
@@ -235,12 +235,15 @@ def _rationalize_argmax(game, M, value, tol=1e-6):
     return None
 
 
-def max_utility(game, set_name, tol=1e-8, seed=0):
+def max_utility(game, set_name, tol=DEFAULT_TOL, seed=0, nash=None):
     """Maximize expected utility over one equilibrium set.
 
     CE_sym and ConvNashSym are exact; XE_sym goes through the
     doubly-nonnegative SDP relaxation and reports a toleranced float,
     upgraded to an exact value when the argmax rationalizes and re-verifies.
+    `nash` is the game's `enumerate_symmetric_nash` result, for a caller
+    that already has it; ConvNashSym and XE_sym then skip enumerating it
+    again, with the same result.
     """
     which = canonical_set_name(set_name)
     index = SymCEIndex(game.m)
@@ -260,7 +263,7 @@ def max_utility(game, set_name, tol=1e-8, seed=0):
         )
 
     if which == CONV_NASH_SYM:
-        enum = enumerate_symmetric_nash(game)
+        enum = nash if nash is not None else enumerate_symmetric_nash(game)
         if enum.sym_degenerate:
             raise DegenerateGameError(
                 "symmetric Nash enumeration is degenerate; the hull "
@@ -285,7 +288,7 @@ def max_utility(game, set_name, tol=1e-8, seed=0):
         )
 
     # XE_sym via the DNN relaxation
-    res = sdp_solve(dnn_ce_problem(game), tol=tol)
+    res = sdp_solve(dnn_ce_problem(game, nash=nash), tol=tol)
     if res.status != "optimal":
         return UtilityOptimum(
             set_name=which,

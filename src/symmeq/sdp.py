@@ -29,6 +29,7 @@ import numpy as np
 
 from .exactlin import ExactCheckError, solve
 from .exchange import is_psd_exact
+from .games import DEFAULT_TOL, outer
 from .nash import rational_exchangeable_point
 from .polytope import SymCEIndex, ce_system
 from .simplex import LinearSystem, lp_solve
@@ -172,18 +173,23 @@ def _triu_indices(m):
     return geom.I, geom.J
 
 
-def dnn_ce_problem(game, objective_matrix=None):
+def dnn_ce_problem(game, objective_matrix=None, nash=None):
     """The DNN-cap-symmetric-CE program for a game; default objective is the
     expected utility.
 
     A symmetric Nash outer product always lies in the feasible set, so one
-    is computed exactly and passed down as the barrier's fallback start."""
+    is computed exactly and passed down as the barrier's fallback start.
+    `nash`, the game's `enumerate_symmetric_nash` result when the caller
+    has it, saves enumerating again; the problem is the same either way."""
     if objective_matrix is None:
         objective_matrix = game.A
-    try:
-        start = rational_exchangeable_point(game).P
-    except ValueError:  # no symmetric Nash point found, or over budget
-        start = None
+    if nash is not None:
+        start = outer(nash.points[0]).P if nash.points else None
+    else:
+        try:
+            start = rational_exchangeable_point(game).P
+        except ValueError:  # no symmetric Nash point found, or over budget
+            start = None
     return problem_from_system(
         game.m,
         ce_system(game, symmetric_only=True),
@@ -287,7 +293,7 @@ def _residuals(problem, geom, u):
     }
 
 
-def sdp_solve(problem, tol=1e-8, delta=1e-8):
+def sdp_solve(problem, tol=DEFAULT_TOL, delta=1e-8):
     """Solve the relaxed program max c.u s.t. G u <= h + delta,
     W(u) + delta I >= 0 (PSD), E u = f.
 

@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, exit codes, JSON reports."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from symmeq import JointDistribution, OrbitDistribution
+from symmeq import ExactCheckError, JointDistribution, OrbitDistribution
+from symmeq import nash, optimize
 from symmeq.cli import (
     EXIT_BUDGET,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_OUT,
     EXIT_PARSE,
@@ -97,6 +100,36 @@ def test_analyze_json(capsys):
         assert F(17, 16) <= v <= F(3, 2)
     assert ["0", "1", "0"] in report["nash"]["symmetric_strategies"]
     assert len(report["ce_sym_vertices"]) >= 3
+
+
+def test_analyze_enumerates_nash_once(capsys, monkeypatch):
+    # the report, the XE start and conv-Nash share one enumeration
+    calls = []
+    original = nash.enumerate_nash
+
+    def counted(game):
+        calls.append(game)
+        return original(game)
+
+    for name, module in list(sys.modules.items()):
+        if name == "symmeq" or name.startswith("symmeq."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _, _ = run(capsys, "analyze", str(data_path("payoffsep.json")))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_internal_error_exits_internal(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ExactCheckError("planted certificate failure")
+
+    monkeypatch.setattr(optimize, "lp_solve", failing)
+    code, out, err = run(capsys, "analyze", str(data_path("chicken.json")))
+    assert code == EXIT_INTERNAL
+    assert "error: internal: ExactCheckError: planted certificate failure" in err
+    assert "Traceback" in err
 
 
 def test_check_exit_codes(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from symmeq import (
     rational_exchangeable_point,
     verify_nash,
 )
+from symmeq import nash as nash_module
 from symmeq.polytope import SymCEIndex
 
 from conftest import random_rational_game
@@ -121,6 +123,26 @@ def test_dimension_guard():
     g = SymmetricGame(m=7, A=[[0] * 7 for _ in range(7)])
     with pytest.raises(ValueError):
         enumerate_nash(g)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_each_support_system_solved_once(monkeypatch, rng, m):
+    # the system of an ordered support pair serves both as the column
+    # strategy at (S, T) and as the row strategy at (T, S)
+    calls = []
+    solve = nash_module._support_solutions
+
+    def counted(game, S, T):
+        calls.append((S, T))
+        return solve(game, S, T)
+
+    monkeypatch.setattr(nash_module, "_support_solutions", counted)
+    enum = enumerate_nash(random_rational_game(rng, m))
+    balanced_pairs = sum(comb(m, r) ** 2 for r in range(1, m + 1))
+    assert len(calls) == enum.stats["systems_solved"] == balanced_pairs
+    assert len(set(calls)) == len(calls)
+    assert enum.stats["support_pairs"] == balanced_pairs
+    assert enum.stats["degenerate_pairs"] == len(enum.degenerate_supports)
 
 
 def test_nesting_nash_products_are_ce(rng):

@@ -25,6 +25,7 @@ from symmeq import (
     uniform_distribution,
     verify_farkas,
 )
+from symmeq.cli import jsonable
 
 from conftest import random_rational_game, random_symmetric_distribution
 
@@ -273,3 +274,9 @@ def test_utility_optima_are_nested(game):
     except DegenerateGameError:
         return
     assert_nested(game)
+    # handing over the symmetric Nash enumeration changes no result
+    nash = enumerate_symmetric_nash(game)
+    for which in (XE_SYM, CONV_NASH_SYM):
+        assert jsonable(max_utility(game, which, nash=nash)) == jsonable(
+            max_utility(game, which)
+        )
