@@ -31,7 +31,6 @@ from .optimize import (
     CE_SYM,
     CONV_NASH_SYM,
     IN,
-    INCONCLUSIVE,
     OUT,
     XE_SYM,
     DegenerateGameError,
@@ -133,7 +132,7 @@ def cmd_analyze(args):
     game = _load_game(args.game_file)
     report = _base_report(args, game)
 
-    # one enumeration serves the report, the XE start and conv-Nash
+    # one enumeration serves the report and conv-Nash
     nash = enumerate_nash(game)
     sym = symmetric_part(nash)
     report["nash"] = {
@@ -160,7 +159,7 @@ def cmd_analyze(args):
     table = {}
     ce = max_utility(game, CE_SYM)
     table[CE_SYM] = {"value": jsonable(ce.value), "exact": True}
-    xe = max_utility(game, XE_SYM, tol=args.tol, seed=args.seed, nash=sym)
+    xe = max_utility(game, XE_SYM, tol=args.tol, seed=args.seed)
     table[XE_SYM] = {
         "value": jsonable(xe.value),
         "exact": xe.exact,

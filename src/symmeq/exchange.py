@@ -4,7 +4,8 @@ A symmetric joint distribution is conditionally i.i.d. exactly when it is a
 convex combination of outer products x x^T of mixed strategies.  Necessary
 conditions are checked exactly (asymmetry, the zero-pattern rule, positive
 semidefiniteness); double nonnegativity is also sufficient for m <= 4, while
-for m >= 5 a verified factorization is the only accepted positive evidence.
+for m >= 5 an exact factorization (residual 0) is the only accepted positive
+evidence.
 """
 
 import itertools
@@ -19,10 +20,15 @@ from .games import (
     BudgetExceededError,
     JointDistribution,
     MixedStrategy,
-    expected_utility,
+    deviation_gains,
+    mixture,
 )
 
 RNG_ALGORITHM = "numpy.random.PCG64"
+
+# the denominator ladder for rounding float solver output to exact
+# candidates, each verified exactly before it is accepted
+DENOMINATORS = (8, 16, 64, 512, 4096, 10**6)
 
 CONDITIONALLY_IID = "conditionally_iid"
 NOT_CONDITIONALLY_IID = "not_conditionally_iid"
@@ -130,12 +136,7 @@ class CPFactorization:
     def reconstruct(self):
         """The distribution sum_i lam_i x_i x_i^T (exact when possible)."""
         m = self.atoms[0][1].m
-        P = [[ZERO] * m for _ in range(m)]
-        for lam, x in self.atoms:
-            for i in range(m):
-                for j in range(m):
-                    P[i][j] += lam * x.x[i] * x.x[j]
-        return P
+        return mixture(m, [(lam, x.x) for lam, x in self.atoms])
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,8 @@ def certify_conditionally_iid(W, tol=DEFAULT_TOL, factorize=True, seed=0):
     Certificate priority: asymmetry, then the zero-pattern rule, then an
     exact PSD refutation.  Doubly nonnegative matrices are conditionally
     i.i.d. for m <= 4 (a factorization is attached when the numeric search
-    finds one); for m >= 5 only a verified factorization is conclusive.
+    finds one); for m >= 5 only an exact factorization (residual 0) is
+    conclusive, and a float one leaves the verdict Inconclusive.
     """
     m = W.m
     P = W.P
@@ -195,19 +197,17 @@ def certify_conditionally_iid(W, tol=DEFAULT_TOL, factorize=True, seed=0):
     factorization = (
         cp_factorize(W, tol=tol, seed=seed) if factorize else None
     )
-    if m <= 4:
+    if m <= 4 or (factorization is not None and factorization.exact):
         cert = {"kind": "doubly_nonnegative"}
         if factorization is not None:
             cert = {"kind": "factorization", "factorization": factorization}
         return ExchangeabilityVerdict(CONDITIONALLY_IID, cert)
-    if factorization is not None:
-        return ExchangeabilityVerdict(
-            CONDITIONALLY_IID,
-            {"kind": "factorization", "factorization": factorization},
-        )
     return ExchangeabilityVerdict(
         INCONCLUSIVE,
-        {"kind": "dnn_only", "note": "doubly nonnegative but unfactored"},
+        {
+            "kind": "dnn_only",
+            "note": "doubly nonnegative, no exact factorization found",
+        },
     )
 
 
@@ -238,21 +238,11 @@ def cp_factorize(W, tol=DEFAULT_TOL, starts=20, iters=5000, seed=0, k=None):
     if best is None or best[1] > tol:
         return None
     B = _merge_columns(best[0])
-    fact = _rationalize(W, B)
+    raw = _float_atoms(B)
+    fact = _rationalize(W, raw)
     if fact is not None:
         return fact
-    atoms = []
-    for c in range(B.shape[1]):
-        col = np.clip(B[:, c], 0.0, None)
-        total = col.sum()
-        if total < 1e-12:
-            continue
-        atoms.append((total * total, col / total))
-    weight = sum(w for w, _ in atoms)
-    atoms = [
-        (w / weight, MixedStrategy(m=m, x=_simplex_round(x)))
-        for w, x in atoms
-    ]
+    atoms = [(w, MixedStrategy(m=m, x=_simplex_round(x))) for w, x in raw]
     res = _float_residual(W, atoms)
     if res > tol:
         return None
@@ -266,11 +256,8 @@ def _simplex_round(x):
 
 
 def _float_residual(W, atoms):
-    m = W.m
-    rec = np.zeros((m, m))
-    for lam, x in atoms:
-        xv = np.array([float(t) for t in x.x])
-        rec += float(lam) * np.outer(xv, xv)
+    float_atoms = [(float(lam), [float(t) for t in x.x]) for lam, x in atoms]
+    rec = np.array(mixture(W.m, float_atoms))
     target = np.array([[float(t) for t in row] for row in W.P])
     return float(np.max(np.abs(target - rec)))
 
@@ -324,19 +311,26 @@ def _merge_columns(B, cos_tol=1e-8, drop_tol=1e-10):
     return np.stack(cols, axis=1)
 
 
-def _rationalize(W, B, max_dens=(8, 16, 64, 512, 4096, 10**6)):
-    """Try to turn a numeric factorization into an exact rational one."""
-    m = W.m
+def _float_atoms(B):
+    """The columns b of a nonnegative factor B as float atoms (w, x) with
+    x = b / sum(b) on the simplex and w proportional to sum(b)^2, so that
+    sum_i w_i x_i x_i^T is B B^T over its total mass."""
     raw = []
     for c in range(B.shape[1]):
         col = np.clip(B[:, c], 0.0, None)
         total = col.sum()
-        if total < 1e-10:
+        if total < 1e-12:
             continue
         raw.append((total * total, col / total))
     wsum = sum(w for w, _ in raw)
-    raw = [(w / wsum, x) for w, x in raw]
-    for den in max_dens:
+    return [(w / wsum, x) for w, x in raw]
+
+
+def _rationalize(W, raw):
+    """Try to turn numeric float atoms into an exact rational
+    factorization of W."""
+    m = W.m
+    for den in DENOMINATORS:
         try:
             atoms = []
             for w, x in raw:
@@ -348,11 +342,7 @@ def _rationalize(W, B, max_dens=(8, 16, 64, 512, 4096, 10**6)):
                 atoms.append((lam, tuple(t / total for t in xs)))
             lam_total = sum((lam for lam, _ in atoms), ZERO)
             atoms = [(lam / lam_total, x) for lam, x in atoms]
-            rec = [[ZERO] * m for _ in range(m)]
-            for lam, x in atoms:
-                for i in range(m):
-                    for j in range(m):
-                        rec[i][j] += lam * x[i] * x[j]
+            rec = mixture(m, atoms)
             if all(
                 rec[i][j] == W.P[i][j] for i in range(m) for j in range(m)
             ):
@@ -379,12 +369,8 @@ class CorrelationScheme:
 
     def induced_distribution(self):
         """Exact joint distribution of the two recommendations."""
-        P = [[ZERO] * self.m for _ in range(self.m)]
-        for lam, x in zip(self.state_probs, self.signals):
-            for i in range(self.m):
-                for j in range(self.m):
-                    P[i][j] += frac(lam) * x.x[i] * x.x[j]
-        return JointDistribution(m=self.m, P=P)
+        atoms = zip(map(frac, self.state_probs), (x.x for x in self.signals))
+        return JointDistribution(m=self.m, P=mixture(self.m, atoms))
 
     def sample(self, rng):
         probs = [float(p) for p in self.state_probs]
@@ -409,29 +395,26 @@ def scheme_from_factorization(fact):
 def verify_scheme_equilibrium(game, scheme, samples=0, seed=0):
     """Check that obeying the scheme's recommendations is an equilibrium.
 
-    Computes the exact expected gain of every deviation map f: C -> C from
-    the induced joint distribution (the authority), and optionally
-    Monte-Carlo estimates with standard errors to validate the sampler.
+    `exact_gains` maps each pair (s, t), s != t, to the exact expected gain
+    of playing t whenever s is recommended, computed from the induced joint
+    distribution (the authority).  A deviation map f: C -> C gains the sum
+    of its pairs' gains, so the best map gains `max_exact_gain` =
+    sum_s max(0, max_t gain(s, t)), and obeying is an equilibrium iff no
+    pair gains.  With samples > 0, `sampled_gains` holds Monte-Carlo
+    estimates with standard errors, keyed the same way, to validate the
+    sampler.
     """
     m = game.m
-    induced = scheme.induced_distribution()
-    P = induced.P
     A = game.A
-    maps = list(itertools.product(range(m), repeat=m))
-    exact_gains = {}
-    for f in maps:
-        gain = sum(
-            (
-                P[i][j] * (A[f[i]][j] - A[i][j])
-                for i in range(m)
-                for j in range(m)
-            ),
-            ZERO,
-        )
-        exact_gains[f] = gain
+    exact_gains = dict(
+        deviation_gains(game, scheme.induced_distribution().P)
+    )
+    best = dict.fromkeys(range(m), ZERO)
+    for (s, _), gain in exact_gains.items():
+        best[s] = max(best[s], gain)
     report = {
         "exact_gains": exact_gains,
-        "max_exact_gain": max(exact_gains.values()),
+        "max_exact_gain": sum(best.values(), ZERO),
         "is_equilibrium": all(g <= 0 for g in exact_gains.values()),
         "rng_algorithm": RNG_ALGORITHM,
         "seed": seed,
@@ -445,18 +428,13 @@ def verify_scheme_equilibrium(game, scheme, samples=0, seed=0):
             counts[i][j] += 1
         freq = counts / samples
         sampled = {}
-        for f in maps:
-            diffs = np.array(
-                [
-                    [float(A[f[i]][j] - A[i][j]) for j in range(m)]
-                    for i in range(m)
-                ]
-            )
-            mean = float((freq * diffs).sum())
-            second = float((freq * diffs**2).sum())
+        for s, t in exact_gains:
+            diffs = np.array([float(A[t][j] - A[s][j]) for j in range(m)])
+            mean = float((freq[s] * diffs).sum())
+            second = float((freq[s] * diffs**2).sum())
             var = max(second - mean**2, 0.0)
             stderr = (var / samples) ** 0.5
-            sampled[f] = (mean, stderr)
+            sampled[s, t] = (mean, stderr)
         report["sampled_gains"] = sampled
         report["empirical_matrix"] = freq
     return report

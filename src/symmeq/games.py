@@ -6,10 +6,10 @@ Objects are immutable after construction and all operations are pure.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import ZERO, frac
+from .exactlin import ZERO, ONE, frac
 
 # the one default numerical tolerance of the float-guided solvers (the SDP
 # barrier's gap, CP factorisation) and of the CLI's --tol
@@ -156,10 +156,37 @@ def expected_utility(game, dist):
     )
 
 
+def deviation_gains(game, P):
+    """The symmetric-CE incentive of an m x m matrix P: for each
+    recommendation s and deviation t != s, the pair ((s, t), gain) with
+    gain = sum_j (A[t][j] - A[s][j]) P[s][j], the row player's exact
+    expected gain from playing t whenever s is recommended.  P is a
+    symmetric CE exactly when no gain is positive."""
+    A, m = game.A, game.m
+
+    def gain(s, t):
+        return sum(((A[t][j] - A[s][j]) * P[s][j] for j in range(m)), ZERO)
+
+    return [
+        ((s, t), gain(s, t)) for s in range(m) for t in range(m) if s != t
+    ]
+
+
+def mixture(m, atoms):
+    """The m x m matrix sum_i lam_i x_i x_i^T of (lam_i, x_i) atoms, with
+    each x_i a sequence of m entries: exact for rational entries, and for
+    floats the same sums as accumulating lam * outer(x, x) in numpy."""
+    P = [[ZERO] * m for _ in range(m)]
+    for lam, x in atoms:
+        for i in range(m):
+            for j in range(m):
+                P[i][j] += lam * (x[i] * x[j])
+    return P
+
+
 def outer(x):
     """The rank-1 symmetric distribution x x^T of i.i.d. play."""
-    P = [[x.x[i] * x.x[j] for j in range(x.m)] for i in range(x.m)]
-    return JointDistribution(m=x.m, P=P)
+    return JointDistribution(m=x.m, P=mixture(x.m, [(ONE, x.x)]))
 
 
 def symmetrize(A, B):

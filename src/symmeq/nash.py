@@ -11,7 +11,6 @@ e.g. best-response ties admitting asymmetric continua) and
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactlin import ZERO, ONE, mat_vec, solve, frac
 from .games import BudgetExceededError, MixedStrategy, outer

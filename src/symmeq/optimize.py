@@ -14,11 +14,18 @@ from fractions import Fraction
 from .exactlin import ZERO, ONE, ExactCheckError
 from .exchange import (
     CONDITIONALLY_IID,
+    DENOMINATORS,
     NOT_CONDITIONALLY_IID,
     certify_conditionally_iid,
     is_psd_exact,
 )
-from .games import DEFAULT_TOL, JointDistribution, expected_utility, outer
+from .games import (
+    DEFAULT_TOL,
+    JointDistribution,
+    deviation_gains,
+    expected_utility,
+    outer,
+)
 from .nash import enumerate_symmetric_nash
 from .polytope import SymCEIndex, ce_system
 from .sdp import dnn_ce_problem, sdp_solve
@@ -89,23 +96,14 @@ def _ce_violation(game, W):
     Returns a certificate dict naming the recommendation s, the deviation t,
     and the exact (positive) deviation gain.
     """
-    m = game.m
-    A = game.A
-    P = W.P
-    for s in range(m):
-        for t in range(m):
-            if s == t:
-                continue
-            gain = sum(
-                ((A[t][j] - A[s][j]) * P[s][j] for j in range(m)), ZERO
-            )
-            if gain > 0:
-                return {
-                    "kind": "ce_violation",
-                    "recommendation": s,
-                    "deviation": t,
-                    "gain": gain,
-                }
+    for (s, t), gain in deviation_gains(game, W.P):
+        if gain > 0:
+            return {
+                "kind": "ce_violation",
+                "recommendation": s,
+                "deviation": t,
+                "gain": gain,
+            }
     return None
 
 
@@ -207,9 +205,12 @@ def _utility_objective(game, index):
 def _rationalize_argmax(game, M, value, tol=1e-6):
     """Try to turn the SDP's float argmax into an exact XE member whose
     exact utility explains the solver value.  Returns (JointDistribution,
-    Fraction) or None; only exactly re-verified candidates are accepted."""
+    Fraction) or None; only exactly re-verified candidates are accepted.
+    For m > 4 it is always None: DNN no longer certifies exchangeability."""
     m = game.m
-    for dmax in (8, 16, 64, 512, 4096, 10**6):
+    if m > 4:
+        return None
+    for dmax in DENOMINATORS:
         P = [[ZERO] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
@@ -227,8 +228,6 @@ def _rationalize_argmax(game, M, value, tol=1e-6):
         psd, _ = is_psd_exact([list(row) for row in P])
         if not psd:
             continue
-        if m > 4:
-            continue  # DNN no longer certifies exchangeability
         exact_value = expected_utility(game, W)
         if abs(float(exact_value) - value) <= tol:
             return W, exact_value
@@ -242,8 +241,8 @@ def max_utility(game, set_name, tol=DEFAULT_TOL, seed=0, nash=None):
     doubly-nonnegative SDP relaxation and reports a toleranced float,
     upgraded to an exact value when the argmax rationalizes and re-verifies.
     `nash` is the game's `enumerate_symmetric_nash` result, for a caller
-    that already has it; ConvNashSym and XE_sym then skip enumerating it
-    again, with the same result.
+    that already has it; ConvNashSym then skips enumerating it again, with
+    the same result.  The other sets do not use it.
     """
     which = canonical_set_name(set_name)
     index = SymCEIndex(game.m)
@@ -288,7 +287,7 @@ def max_utility(game, set_name, tol=DEFAULT_TOL, seed=0, nash=None):
         )
 
     # XE_sym via the DNN relaxation
-    res = sdp_solve(dnn_ce_problem(game, nash=nash), tol=tol)
+    res = sdp_solve(dnn_ce_problem(game), tol=tol)
     if res.status != "optimal":
         return UtilityOptimum(
             set_name=which,

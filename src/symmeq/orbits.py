@@ -7,14 +7,18 @@ collapses extendability questions from m^N profile variables to
 C(N+m-1, m-1) orbit variables without losing exactness.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import ZERO, ONE, ExactCheckError, frac, rank
-from .games import BudgetExceededError, JointDistribution, SymmetricGame
+from .games import (
+    BudgetExceededError,
+    JointDistribution,
+    SymmetricGame,
+    deviation_gains,
+)
 from .polytope import SymCEIndex
 from .simplex import LinearSystem, lp_solve, require_infeasible
 
@@ -171,24 +175,27 @@ class ExtendabilityResult:
     unique: bool = None
 
 
-def _orbit_lp_system(m, N, equalities, budget):
-    """Nonnegativity + normalization + caller equalities over orbit
-    weights; returns (count vector list, LinearSystem)."""
+def _orbits_within_budget(m, N, budget):
+    """count_vectors(m, N), after checking their number against the budget
+    (before any of them, or any LP row over them, is built)."""
     n_orbits = math.comb(N + m - 1, m - 1)
     if n_orbits > budget:
         raise BudgetExceededError(
             f"{n_orbits} orbits exceed the budget of {budget}"
         )
-    ks = count_vectors(m, N)
+    return count_vectors(m, N)
+
+
+def _orbit_lp_system(ks, equalities):
+    """Nonnegativity + normalization + caller equalities over the orbit
+    weights of the count vectors ks."""
     ineqs = []
     for a in range(len(ks)):
         e = [ZERO] * len(ks)
         e[a] = -ONE
         ineqs.append((e, ZERO))
     eqs = [([ONE] * len(ks), ONE)] + equalities
-    return ks, LinearSystem(
-        num_vars=len(ks), inequalities=ineqs, equalities=eqs
-    )
+    return LinearSystem(num_vars=len(ks), inequalities=ineqs, equalities=eqs)
 
 
 def extendability_lp(game, W, N, budget=DEFAULT_ORBIT_BUDGET):
@@ -204,13 +211,13 @@ def extendability_lp(game, W, N, budget=DEFAULT_ORBIT_BUDGET):
     if not W.symmetric:
         raise ValueError("extendability needs a symmetric distribution")
     index = SymCEIndex(m)
-    ks = count_vectors(m, N)
+    ks = _orbits_within_budget(m, N, budget)
     eqs = []
     for pos in range(index.size):
         i, j = index.pair(pos)
         row = [_pair_coefficient(k, i, j, N) for k in ks]
         eqs.append((row, W.P[i][j]))
-    ks, system = _orbit_lp_system(m, N, eqs, budget)
+    system = _orbit_lp_system(ks, eqs)
     res = lp_solve(system, [ZERO] * len(ks))
     if res.status == "optimal":
         orbit = OrbitDistribution(
@@ -267,21 +274,17 @@ def extension_lp(d, budget=DEFAULT_ORBIT_BUDGET, decide_unique=True):
     found (_is_unique).
     """
     m, N = d.m, d.N
-    ks = count_vectors(m, N + 1)
-    # drop-one marginal of the unknown weights, one equality per orbit of N
-    eqs = []
-    for k in count_vectors(m, N):
-        row = []
-        for kk in ks:
-            coeff = ZERO
-            for i in range(m):
-                if kk[i] > 0 and tuple(
-                    kk[j] - (1 if j == i else 0) for j in range(m)
-                ) == k:
-                    coeff += Fraction(kk[i], N + 1)
-            row.append(coeff)
-        eqs.append((row, d.weight(k)))
-    ks, system = _orbit_lp_system(m, N + 1, eqs, budget)
+    ks = _orbits_within_budget(m, N + 1, budget)
+    # drop-one marginal of the unknown weights, one equality per orbit of
+    # N: dropping a player who plays i maps orbit kk to kk - e_i
+    rows = {k: [ZERO] * len(ks) for k in count_vectors(m, N)}
+    for col, kk in enumerate(ks):
+        for i in range(m):
+            if kk[i] > 0:
+                k = kk[:i] + (kk[i] - 1,) + kk[i + 1:]
+                rows[k][col] = Fraction(kk[i], N + 1)
+    eqs = [(row, d.weight(k)) for k, row in rows.items()]
+    system = _orbit_lp_system(ks, eqs)
     res = lp_solve(system, [ZERO] * len(ks))
     if res.status != "optimal":
         require_infeasible(system, res)
@@ -312,22 +315,11 @@ def n_exchangeable_equilibrium_check(game, d):
     system; exact deviation gains are reported per recommendation pair.
     """
     W = bivariate_marginal(d)
-    m = game.m
-    A = game.A
-    margins = []
-    ok = True
-    for s in range(m):
-        for t in range(m):
-            if s == t:
-                continue
-            gain = sum(
-                ((A[t][j] - A[s][j]) * W.P[s][j] for j in range(m)), ZERO
-            )
-            margins.append(((s, t), gain))
-            if gain > 0:
-                ok = False
+    margins = tuple(deviation_gains(game, W.P))
     return EquilibriumCheck(
-        is_equilibrium=ok, margins=tuple(margins), marginal=W
+        is_equilibrium=all(g <= 0 for _, g in margins),
+        margins=margins,
+        marginal=W,
     )
 
 

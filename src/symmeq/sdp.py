@@ -29,8 +29,7 @@ import numpy as np
 
 from .exactlin import ExactCheckError, solve
 from .exchange import is_psd_exact
-from .games import DEFAULT_TOL, outer
-from .nash import rational_exchangeable_point
+from .games import DEFAULT_TOL
 from .polytope import SymCEIndex, ce_system
 from .simplex import LinearSystem, lp_solve
 
@@ -43,9 +42,8 @@ class SdpProblem:
     objective: np.ndarray          # symmetric m x m coefficient matrix
     G: np.ndarray                  # inequality rows: G u <= h
     h: np.ndarray
-    E: np.ndarray                  # equality rows: E u = f
-    f: np.ndarray
-    start: object = None           # optional exactly-feasible start vector
+    E: np.ndarray                  # equality rows E u = f, kept only for
+    f: np.ndarray                  # the residual report (u0, Q solve them)
     linear_infeasible: bool = False  # exact verdict from preprocessing
     u0: tuple = None               # exact point with E u0 = f
     Q: np.ndarray = None           # orthonormal basis of null(E), dim x k
@@ -111,12 +109,8 @@ def _split_implicit_equalities(system):
     return ineqs, eqs, False
 
 
-def problem_from_system(m, system, objective_matrix, start=None):
-    """Wrap a symmetric-coordinates LinearSystem plus a PSD constraint.
-
-    `start`, when given, must be an exactly feasible symmetric matrix; it
-    lets the barrier fall back on a known point when its feasibility phase
-    stalls."""
+def problem_from_system(m, system, objective_matrix):
+    """Wrap a symmetric-coordinates LinearSystem plus a PSD constraint."""
     index = SymCEIndex(m)
     n = index.size
     ineqs, eqs, linear_infeasible = _split_implicit_equalities(system)
@@ -132,11 +126,6 @@ def problem_from_system(m, system, objective_matrix, start=None):
         [[float(objective_matrix[i][j]) for j in range(m)] for i in range(m)]
     )
     obj = 0.5 * (obj + obj.T)
-    u_start = None
-    if start is not None:
-        u_start = np.array(
-            [float(start[i][j]) for i, j in zip(*_triu_indices(m))]
-        )
     u0, Q = (None, None) if linear_infeasible else _affine_hull(n, eqs)
     return SdpProblem(
         m=m,
@@ -145,7 +134,6 @@ def problem_from_system(m, system, objective_matrix, start=None):
         h=h,
         E=E,
         f=f,
-        start=u_start,
         linear_infeasible=linear_infeasible,
         u0=u0,
         Q=Q,
@@ -168,33 +156,13 @@ def _affine_hull(n, eqs):
     return tuple(u0), Q
 
 
-def _triu_indices(m):
-    geom = _Geometry(m)
-    return geom.I, geom.J
-
-
-def dnn_ce_problem(game, objective_matrix=None, nash=None):
+def dnn_ce_problem(game, objective_matrix=None):
     """The DNN-cap-symmetric-CE program for a game; default objective is the
-    expected utility.
-
-    A symmetric Nash outer product always lies in the feasible set, so one
-    is computed exactly and passed down as the barrier's fallback start.
-    `nash`, the game's `enumerate_symmetric_nash` result when the caller
-    has it, saves enumerating again; the problem is the same either way."""
+    expected utility."""
     if objective_matrix is None:
         objective_matrix = game.A
-    if nash is not None:
-        start = outer(nash.points[0]).P if nash.points else None
-    else:
-        try:
-            start = rational_exchangeable_point(game).P
-        except ValueError:  # no symmetric Nash point found, or over budget
-            start = None
     return problem_from_system(
-        game.m,
-        ce_system(game, symmetric_only=True),
-        objective_matrix,
-        start=start,
+        game.m, ce_system(game, symmetric_only=True), objective_matrix
     )
 
 
@@ -373,21 +341,6 @@ def sdp_solve(problem, tol=DEFAULT_TOL, delta=1e-8):
     interior = viol < -margin and lam_min > margin
     s = max(viol, -lam_min, 0.0) + 1.0
 
-    def validated_hint():
-        # an exactly feasible hint is delta-interior for the relaxed
-        # program; it rescues instances where phase 1 stalls on a
-        # rank-deficient boundary
-        if problem.start is None:
-            return None
-        u1 = np.asarray(problem.start, dtype=float)
-        E, f = problem.E, problem.f
-        eqres = float(np.max(np.abs(E @ u1 - f))) if E.size else 0.0
-        slmin = float(np.min(h - G @ u1)) if G.size else 0.0
-        lam1 = float(np.linalg.eigvalsh(geom.mat(u1)).min())
-        if eqres <= 1e-9 and slmin >= -1e-12 and lam1 >= -1e-12:
-            return Q.T @ (u1 - u0)
-        return None
-
     nu = m + len(h)
     t1 = 1.0
     if not interior:
@@ -415,15 +368,11 @@ def sdp_solve(problem, tol=DEFAULT_TOL, delta=1e-8):
                 break
             t1 *= 10.0
     if not interior and s >= 0.5 * delta:
-        hint = validated_hint()
-        if hint is None:
-            # certified-enough infeasibility of the relaxed program: the
-            # centered minimum of s stayed above delta/2 with a tiny gap
-            return result(
-                "infeasible", float("nan"), u0 + Q @ z, nu / t1,
-                {"phase1_s": s},
-            )
-        z = hint
+        # certified-enough infeasibility of the relaxed program: the
+        # centered minimum of s stayed above delta/2 with a tiny gap
+        return result(
+            "infeasible", float("nan"), u0 + Q @ z, nu / t1, {"phase1_s": s}
+        )
 
     # phase 2
     cz = Q.T @ cost

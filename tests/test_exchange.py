@@ -1,5 +1,6 @@
 """Conditional-i.i.d. certification and completely positive factorization."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -11,11 +12,13 @@ import pytest
 
 import symmeq
 from symmeq import (
+    CorrelationScheme,
     ExactCheckError,
     JointDistribution,
     MixedStrategy,
     certify_conditionally_iid,
     cp_factorize,
+    enumerate_symmetric_nash,
     expected_utility,
     is_psd_exact,
     outer,
@@ -24,6 +27,10 @@ from symmeq import (
     verify_scheme_equilibrium,
 )
 from symmeq.exchange import _quadratic_form
+from symmeq.exchange import INCONCLUSIVE
+from symmeq.games import deviation_gains, mixture
+
+from conftest import random_rational_game
 
 F = Fraction
 
@@ -280,3 +287,65 @@ raise SystemExit(1)
         [sys.executable, "-O", "-c", script], env=env, capture_output=True
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_float_factorization_does_not_decide_in_at_m5():
+    # the atoms' denominators lie beyond the rationalization ladder, so
+    # cp_factorize can only return a float factorization, which at m >= 5
+    # must not certify membership
+    x1 = [F(n, 1000003) for n in (200000, 300001, 100000, 250000, 150002)]
+    x2 = [F(n, 1000033) for n in (100003, 200010, 300000, 150010, 250010)]
+    W = JointDistribution(m=5, P=mixture(5, [(F(1, 3), x1), (F(2, 3), x2)]))
+    fact = cp_factorize(W)
+    assert fact is not None and not fact.exact
+    v = certify_conditionally_iid(W)
+    assert v.status == INCONCLUSIVE
+    assert v.certificate["kind"] == "dnn_only"
+
+
+def _random_scheme(rng, m):
+    states = rng.randint(1, 3)
+    probs = [F(rng.randint(1, 5)) for _ in range(states)]
+    signals = []
+    for _ in range(states):
+        x = [F(rng.randint(0, 4)) for _ in range(m)]
+        x[rng.randrange(m)] += 1
+        signals.append(MixedStrategy(m=m, x=[v / sum(x) for v in x]))
+    return CorrelationScheme(
+        m=m,
+        state_probs=tuple(p / sum(probs) for p in probs),
+        signals=tuple(signals),
+    )
+
+
+def test_scheme_gains_are_pairwise_deviation_gains(rng):
+    # exact_gains is keyed by (recommendation, deviation), and the best
+    # deviation map's gain is the sum of each recommendation's best gain:
+    # checked against all m^m maps
+    seen = set()
+    for trial in range(60):
+        m = 2 + trial % 3
+        game = random_rational_game(rng, m, -3, 3)
+        nash = enumerate_symmetric_nash(game).points
+        if trial % 4 == 0 and nash:
+            scheme = CorrelationScheme(
+                m=m, state_probs=(F(1),), signals=(nash[0],)
+            )
+        else:
+            scheme = _random_scheme(rng, m)
+        report = verify_scheme_equilibrium(game, scheme)
+        P = scheme.induced_distribution().P
+        assert report["exact_gains"] == dict(deviation_gains(game, P))
+        A = game.A
+        brute = max(
+            sum(
+                P[i][j] * (A[f[i]][j] - A[i][j])
+                for i in range(m)
+                for j in range(m)
+            )
+            for f in itertools.product(range(m), repeat=m)
+        )
+        assert report["max_exact_gain"] == brute
+        assert report["is_equilibrium"] == (brute <= 0)
+        seen.add(report["is_equilibrium"])
+    assert seen == {True, False}

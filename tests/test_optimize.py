@@ -1,5 +1,6 @@
 """Membership verdicts and utility maximization over the hierarchy."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from symmeq import (
     uniform_distribution,
     verify_farkas,
 )
+from symmeq import nash as nash_module
 from symmeq.cli import jsonable
 
 from conftest import random_rational_game, random_symmetric_distribution
@@ -280,3 +282,23 @@ def test_utility_optima_are_nested(game):
         assert jsonable(max_utility(game, which, nash=nash)) == jsonable(
             max_utility(game, which)
         )
+
+
+def test_xe_optimum_enumerates_no_nash(monkeypatch, utility_gap_game):
+    # the XE barrier needs no Nash point, so it enumerates none
+    calls = []
+    original = nash_module.enumerate_nash
+
+    def counted(game):
+        calls.append(game)
+        return original(game)
+
+    for name, module in list(sys.modules.items()):
+        if name == "symmeq" or name.startswith("symmeq."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    max_utility(utility_gap_game, XE_SYM)
+    assert calls == []
+    max_utility(utility_gap_game, CONV_NASH_SYM)
+    assert len(calls) == 1

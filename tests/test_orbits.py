@@ -12,6 +12,7 @@ from symmeq import (
     JointDistribution,
     MixedStrategy,
     OrbitDistribution,
+    SymmetricGame,
     bivariate_marginal,
     drop_one_marginal,
     envelope_simulate,
@@ -24,8 +25,10 @@ from symmeq import (
     minority_pi,
     n_exchangeable_equilibrium_check,
     outer,
+    uniform_distribution,
     verify_farkas,
 )
+from symmeq import orbits
 from symmeq.orbits import count_vectors, multinomial
 
 from conftest import random_symmetric_distribution
@@ -187,6 +190,24 @@ def test_budget_guard():
     W = JointDistribution(m=2, P=[[0, F(1, 2)], [F(1, 2), 0]])
     with pytest.raises(BudgetExceededError):
         extendability_lp(game, W, 10, budget=3)
+
+
+def test_budget_checked_before_any_row_is_built(monkeypatch):
+    # at N = 1500 the m = 3 orbit LP would build over a million count
+    # vectors and rows before refusing them
+    game = SymmetricGame(m=3, A=[[0] * 3] * 3)
+    W = uniform_distribution(3)
+    d = minority_pi(10)
+
+    def fail(*args):
+        raise AssertionError("orbit data built before the budget check")
+
+    monkeypatch.setattr(orbits, "count_vectors", fail)
+    monkeypatch.setattr(orbits, "_pair_coefficient", fail)
+    with pytest.raises(BudgetExceededError):
+        extendability_lp(game, W, 1500)
+    with pytest.raises(BudgetExceededError):
+        extension_lp(d, budget=11)
 
 
 def test_equilibrium_check():
