@@ -12,6 +12,7 @@ or any other unexpected exception; the traceback goes to stderr).
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -101,15 +102,26 @@ def _fail_parse(msg):
 def _load_game(path):
     try:
         return SymmetricGame.from_file(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         _fail_parse(f"cannot read game file {path}: {exc}")
 
 
 def _load_dist(path):
     try:
         return JointDistribution.from_file(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         _fail_parse(f"cannot read distribution file {path}: {exc}")
+
+
+def tolerance(text):
+    """argparse type of --tol: a finite positive float (argparse names the
+    function in its message when float() fails)."""
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}"
+        )
+    return tol
 
 
 def _base_report(args, game):
@@ -335,7 +347,7 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("analyze", help="full report on a game file")
     p.add_argument("game_file")

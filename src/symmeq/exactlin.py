@@ -39,28 +39,35 @@ def dot(u, v):
     return sum((u[j] * v[j] for j in range(len(v))), ZERO)
 
 
+def _row_reduce(aug, cols):
+    """Gauss-Jordan on the first cols columns of aug, in place; returns the
+    pivots (row, col) in order."""
+    rows = len(aug)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = ONE / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+    return pivots
+
+
 def rank(a):
     """Rank of a rational matrix."""
     if not a:
         return 0
-    m = mat_copy(a)
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_row_reduce(mat_copy(a), len(a[0])))
 
 
 def det(a):
@@ -96,23 +103,8 @@ def solve(a, b):
     rows = len(a)
     cols = len(a[0]) if rows else 0
     aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [aug[i][j] - f * aug[r][j] for j in range(cols + 1)]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
+    pivots = _row_reduce(aug, cols)
+    r = len(pivots)
     for i in range(r, rows):
         if aug[i][cols] != 0:
             return None

@@ -8,13 +8,12 @@ for m >= 5 an exact factorization (residual 0) is the only accepted positive
 evidence.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import ZERO, ONE, ExactCheckError, det, frac
+from .exactlin import ZERO, ONE, ExactCheckError, frac
 from .games import (
     DEFAULT_TOL,
     BudgetExceededError,
@@ -36,9 +35,16 @@ INCONCLUSIVE = "inconclusive"
 
 
 def is_psd_exact(W):
-    """Exact PSD decision for a symmetric rational matrix via the
-    all-principal-minors criterion; when not PSD, also returns an exact
-    rational witness z with z^T W z < 0.
+    """Exact PSD decision for a symmetric rational matrix by one symmetric
+    (LDL^T) elimination; when not PSD, also returns an exact rational
+    witness z with z^T W z < 0.
+
+    A positive pivot eliminates the rows below it, and a zero pivot with a
+    zero row is skipped.  A negative pivot k gives the witness e_k, and a
+    zero pivot k with S[k][j] != 0 the 2x2 witness z_k = -(S_jj + 1) /
+    (2 S_kj), z_j = 1, on which the reduced form is exactly -1.  The
+    witness is lifted back through the positive pivots p by
+    z_p = -sum_{i>p} S[p][i] z_i / S[p][p].
 
     Returns (bool, witness-or-None).
     """
@@ -49,18 +55,31 @@ def is_psd_exact(W):
         for j in range(i + 1, m):
             if W[i][j] != W[j][i]:
                 raise ValueError("matrix is not symmetric")
-    psd = True
-    for r in range(1, m + 1):
-        for idx in itertools.combinations(range(m), r):
-            sub = [[W[i][j] for j in idx] for i in idx]
-            if det(sub) < 0:
-                psd = False
-                break
-        if not psd:
+    S = [[frac(W[i][j]) for j in range(m)] for i in range(m)]
+    z = [ZERO] * m
+    for k in range(m):
+        d = S[k][k]
+        if d < 0:
+            z[k] = ONE
             break
-    if psd:
+        if d == 0:
+            j = next((j for j in range(k + 1, m) if S[k][j] != 0), None)
+            if j is None:
+                continue
+            z[k] = -(S[j][j] + 1) / (2 * S[k][j])
+            z[j] = ONE
+            break
+        for i in range(k + 1, m):
+            f = S[i][k] / d
+            if f:
+                for j in range(k + 1, m):
+                    S[i][j] -= f * S[k][j]
+    else:
         return True, None
-    z = _negative_direction(W)
+    for p in range(k - 1, -1, -1):
+        if S[p][p] > 0:
+            lift = sum((S[p][i] * z[i] for i in range(p + 1, m)), ZERO)
+            z[p] = -lift / S[p][p]
     if _quadratic_form(W, z) >= 0:
         raise ExactCheckError("PSD witness z fails z^T W z < 0")
     return False, tuple(z)
@@ -71,51 +90,6 @@ def _quadratic_form(W, z):
     return sum(
         (z[i] * W[i][j] * z[j] for i in range(m) for j in range(m)), ZERO
     )
-
-
-def _negative_direction(W):
-    """Witness z with z^T W z < 0 from a rational LDL^T attempt.
-
-    Recursive symmetric elimination: a negative pivot, or a zero pivot with
-    a nonzero residual row, yields a witness in the reduced space which is
-    lifted back through the elimination steps.
-    """
-    m = len(W)
-    S = [[frac(W[i][j]) for j in range(m)] for i in range(m)]
-
-    def recurse(S):
-        n = len(S)
-        if n == 0:
-            # a matrix with a negative principal minor has a witness
-            raise ExactCheckError("LDL^T elimination found no PSD witness")
-        d = S[0][0]
-        if d < 0:
-            return [ONE] + [ZERO] * (n - 1)
-        if d == 0:
-            j = next((k for k in range(1, n) if S[0][k] != 0), None)
-            if j is not None:
-                # 2x2 block [[0, a], [a, S_jj]]: choose alpha so the value
-                # is exactly -1
-                a = S[0][j]
-                alpha = -(S[j][j] + 1) / (2 * a)
-                z = [ZERO] * n
-                z[0] = alpha
-                z[j] = ONE
-                return z
-            sub = [row[1:] for row in S[1:]]
-            z = recurse(sub)
-            return [ZERO] + z
-        # positive pivot: eliminate and lift the reduced witness
-        col = [S[i][0] for i in range(1, len(S))]
-        sub = [
-            [S[i][j] - S[i][0] * S[0][j] / d for j in range(1, len(S))]
-            for i in range(1, len(S))
-        ]
-        z = recurse(sub)
-        head = -sum((col[i] * z[i] for i in range(len(z))), ZERO) / d
-        return [head] + z
-
-    return recurse(S)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .exactlin import ZERO, ONE, mat_vec, solve, frac
 from .games import BudgetExceededError, MixedStrategy, outer
 from .polytope import enumerate_vertices, UnboundedPolytopeError
-from .simplex import LinearSystem
+from .simplex import LinearSystem, bound_rows
 
 MAX_STRATEGIES = 6
 
@@ -119,10 +119,7 @@ def _basic_solutions(game, S, T, limit=64):
             eqs.append((coeffs, rhs))
         else:
             ineqs.append((coeffs, rhs))
-    for j in range(k):
-        e = [ZERO] * (k + 1)
-        e[j] = -ONE
-        ineqs.append((e, ZERO))
+    ineqs += bound_rows(k + 1, range(k))
     system = LinearSystem(num_vars=k + 1, inequalities=ineqs, equalities=eqs)
     try:
         verts = enumerate_vertices(system)

@@ -29,7 +29,7 @@ from .games import (
 from .nash import enumerate_symmetric_nash
 from .polytope import SymCEIndex, ce_system
 from .sdp import dnn_ce_problem, sdp_solve
-from .simplex import LinearSystem, lp_solve, require_infeasible
+from .simplex import LinearSystem, bound_rows, lp_solve, require_infeasible
 
 CE_SYM = "ce_sym"
 XE_SYM = "xe_sym"
@@ -161,12 +161,9 @@ def membership(game, W, set_name, tol=DEFAULT_TOL, seed=0):
         row = [products[a].P[i][j] for a in range(k)]
         eqs.append((row, W.P[i][j]))
     eqs.append(([ONE] * k, ONE))
-    ineqs = []
-    for a in range(k):
-        e = [ZERO] * k
-        e[a] = -ONE
-        ineqs.append((e, ZERO))
-    system = LinearSystem(num_vars=k, inequalities=ineqs, equalities=eqs)
+    system = LinearSystem(
+        num_vars=k, inequalities=bound_rows(k, range(k)), equalities=eqs
+    )
     res = lp_solve(system, [ZERO] * k)
     if res.status == "optimal":
         return MembershipVerdict(

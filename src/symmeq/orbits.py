@@ -20,7 +20,7 @@ from .games import (
     deviation_gains,
 )
 from .polytope import SymCEIndex
-from .simplex import LinearSystem, lp_solve, require_infeasible
+from .simplex import LinearSystem, bound_rows, lp_solve, require_infeasible
 
 DEFAULT_ORBIT_BUDGET = 200000
 
@@ -189,13 +189,12 @@ def _orbits_within_budget(m, N, budget):
 def _orbit_lp_system(ks, equalities):
     """Nonnegativity + normalization + caller equalities over the orbit
     weights of the count vectors ks."""
-    ineqs = []
-    for a in range(len(ks)):
-        e = [ZERO] * len(ks)
-        e[a] = -ONE
-        ineqs.append((e, ZERO))
-    eqs = [([ONE] * len(ks), ONE)] + equalities
-    return LinearSystem(num_vars=len(ks), inequalities=ineqs, equalities=eqs)
+    n = len(ks)
+    return LinearSystem(
+        num_vars=n,
+        inequalities=bound_rows(n, range(n)),
+        equalities=[([ONE] * n, ONE)] + equalities,
+    )
 
 
 def extendability_lp(game, W, N, budget=DEFAULT_ORBIT_BUDGET):
@@ -205,6 +204,8 @@ def extendability_lp(game, W, N, budget=DEFAULT_ORBIT_BUDGET):
     distribution must equal W exactly.  Whether W itself is a correlated
     equilibrium is a separate question (n_exchangeable_equilibrium_check).
     """
+    if N < 2:
+        raise ValueError("need N >= 2")
     m = game.m
     if W.m != m:
         raise ValueError("game and distribution dimensions differ")
@@ -249,11 +250,7 @@ def _is_unique(system, x):
     if len(support) == n:
         return True
     on_zero = [ZERO if x[j] else ONE for j in range(n)]
-    bounds = [
-        ([-ONE if i == j else ZERO for i in range(n)], ZERO)
-        for j in range(n)
-        if not x[j]
-    ]
+    bounds = bound_rows(n, [j for j in range(n) if not x[j]])
     directions = LinearSystem(
         num_vars=n,
         inequalities=bounds + [(on_zero, ONE)],
@@ -265,13 +262,12 @@ def _is_unique(system, x):
     return res.optimum == 0
 
 
-def extension_lp(d, budget=DEFAULT_ORBIT_BUDGET, decide_unique=True):
+def extension_lp(d, budget=DEFAULT_ORBIT_BUDGET):
     """Decide whether d extends to an (N+1)-exchangeable distribution,
     i.e. find orbit weights at N+1 whose drop-one marginal equals d.
 
-    When feasible and decide_unique is set, uniqueness is decided exactly
-    by one rank test and one LP over the directions leaving the point
-    found (_is_unique).
+    When feasible, uniqueness is decided exactly by one rank test and one
+    LP over the directions leaving the point found (_is_unique).
     """
     m, N = d.m, d.N
     ks = _orbits_within_budget(m, N + 1, budget)
@@ -295,7 +291,7 @@ def extension_lp(d, budget=DEFAULT_ORBIT_BUDGET, decide_unique=True):
             system=system,
         )
     orbit = OrbitDistribution(m=m, N=N + 1, weights=list(zip(ks, res.point)))
-    unique = _is_unique(system, res.point) if decide_unique else None
+    unique = _is_unique(system, res.point)
     return ExtendabilityResult(
         feasible=True, N=N + 1, orbit=orbit, system=system, unique=unique
     )

@@ -3,7 +3,9 @@ enumeration.
 
 Vertex enumeration is a double-description-style incremental method seeded
 from the 0/1 bounding box (all systems handled here live in probability
-coordinates), with vertex adjacency decided by exact algebraic rank.
+coordinates), with vertex adjacency decided combinatorially from the rows
+tight at each vertex (Fukuda & Prodon, "Double description method
+revisited", 1996).
 """
 
 import itertools
@@ -11,7 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import ZERO, ONE, dot, rank
-from .simplex import LinearSystem
+from .simplex import LinearSystem, bound_rows
+
+# the largest number of variables enumerate_vertices accepts
+MAX_BOX_DIM = 14
 
 
 class UnboundedPolytopeError(ValueError):
@@ -79,10 +84,7 @@ def ce_system(game, symmetric_only=False):
                 for j in range(m):
                     coeffs[index.idx(s, j)] += A[t][j] - A[s][j]
                 ineqs.append((coeffs, ZERO))
-        for k in range(n):
-            coeffs = [ZERO] * n
-            coeffs[k] = -ONE
-            ineqs.append((coeffs, ZERO))
+        ineqs += bound_rows(n, range(n))
         norm = [Fraction(index.multiplicity(k)) for k in range(n)]
         return LinearSystem(
             num_vars=n, inequalities=ineqs, equalities=[(norm, ONE)]
@@ -105,10 +107,7 @@ def ce_system(game, symmetric_only=False):
             for i in range(m):
                 coeffs[flat(i, s)] += A[t][i] - A[s][i]
             ineqs.append((coeffs, ZERO))
-    for k in range(n):
-        coeffs = [ZERO] * n
-        coeffs[k] = -ONE
-        ineqs.append((coeffs, ZERO))
+    ineqs += bound_rows(n, range(n))
     return LinearSystem(
         num_vars=n,
         inequalities=ineqs,
@@ -116,16 +115,21 @@ def ce_system(game, symmetric_only=False):
     )
 
 
-def enumerate_vertices(system, max_box_dim=14):
+def enumerate_vertices(system):
     """All vertices of the (bounded) polyhedron of `system`, exact and
     lexicographically sorted.
 
-    The variables must live inside the unit box [0, 1]^n; a vertex whose
-    determination relies on the box rather than the system raises
-    UnboundedPolytopeError.
+    The variables must live inside the unit box [0, 1]^n, with n at most
+    MAX_BOX_DIM; a vertex whose determination relies on the box rather
+    than the system raises UnboundedPolytopeError.
+
+    Each vertex keeps the complete set of rows tight at it: a point cut
+    from edge [u, w] is tight exactly on the rows common to u and w plus
+    the cutting row.  So u and w are adjacent iff they share at least
+    n - 1 tight rows and no third vertex is tight on all of them.
     """
     n = system.num_vars
-    if n > max_box_dim:
+    if n > MAX_BOX_DIM:
         raise ValueError(f"dimension {n} exceeds enumeration budget")
 
     # constraint rows a.v <= b; the first 2n are the bounding box
@@ -138,74 +142,49 @@ def enumerate_vertices(system, max_box_dim=14):
         e[j] = -ONE
         rows.append((list(e), ZERO))       # -v_j <= 0
     n_box = len(rows)
-    cut_rows = []
     for a, b in system.equalities:
-        cut_rows.append((list(a), b))
-        cut_rows.append(([-x for x in a], -b))
-    for a, b in system.inequalities:
-        cut_rows.append((list(a), b))
-    rows.extend(cut_rows)
+        rows += [(a, b), (tuple(-x for x in a), -b)]
+    rows += system.inequalities
 
     # seed: box vertices with their tight box facets
     verts = {}
     for bits in itertools.product((ZERO, ONE), repeat=n):
-        tight = frozenset(
-            2 * j + (0 if bits[j] == ONE else 1) for j in range(n)
-        )
-        verts[bits] = set(tight)
+        verts[bits] = {2 * j + (0 if bits[j] == ONE else 1) for j in range(n)}
 
     def adjacent(tu, tw):
+        # every vertex owns its tight set, so identity tells u and w apart
         common = tu & tw
-        if len(common) < n - 1:
-            return False
-        return rank([rows[i][0] for i in common]) == n - 1
+        return len(common) >= n - 1 and not any(
+            common <= t for t in verts.values() if t is not tu and t is not tw
+        )
 
     for idx in range(n_box, len(rows)):
         a, b = rows[idx]
         vals = {pt: dot(a, pt) - b for pt in verts}
         drop = [pt for pt, v in vals.items() if v > 0]
-        if not drop:
-            for pt, v in vals.items():
-                if v == 0:
-                    verts[pt].add(idx)
-            continue
-        keep = [pt for pt, v in vals.items() if v <= 0]
+        keep = [pt for pt, v in vals.items() if v < 0]
+        # each edge from drop to keep is cut at a new vertex, which lies
+        # inside the edge and so is none of the current ones
         new_pts = {}
         for u in drop:
-            vu = vals[u]
-            tu = verts[u]
+            vu, tu = vals[u], verts[u]
             for w in keep:
-                vw = vals[w]
-                if vw == 0:
-                    continue
-                if not adjacent(frozenset(tu), frozenset(verts[w])):
-                    continue
-                t = vu / (vu - vw)
-                z = tuple(u[j] + t * (w[j] - u[j]) for j in range(n))
-                tz = (tu & verts[w]) | {idx}
-                if z in new_pts:
-                    new_pts[z] |= tz
-                else:
-                    new_pts[z] = set(tz)
-        for pt in drop:
-            del verts[pt]
+                vw, tw = vals[w], verts[w]
+                if adjacent(tu, tw):
+                    t = vu / (vu - vw)
+                    z = tuple(u[j] + t * (w[j] - u[j]) for j in range(n))
+                    new_pts.setdefault(z, {idx}).update(tu & tw)
         for pt, v in vals.items():
-            if v == 0 and pt in verts:
+            if v > 0:
+                del verts[pt]
+            elif v == 0:
                 verts[pt].add(idx)
-        for z, tz in new_pts.items():
-            if z in verts:
-                verts[z] |= tz
-            else:
-                verts[z] = tz
+        verts.update(new_pts)
 
-    result = []
-    for pt, tight in verts.items():
-        sys_rows = [rows[i][0] for i in tight if i >= n_box]
-        if rank(sys_rows) < n:
+    for tight in verts.values():
+        if rank([rows[i][0] for i in tight if i >= n_box]) < n:
             raise UnboundedPolytopeError(
                 "vertex pinned by the bounding box; polyhedron may be "
                 "unbounded or exceed the unit box"
             )
-        result.append(pt)
-    result.sort()
-    return result
+    return sorted(verts)

@@ -192,6 +192,17 @@ class _Tableau:
         self.ncols = ncols
 
 
+def bound_rows(n, cols):
+    """The inequality rows -v_j <= 0 over n variables, one for each j in
+    cols: the rows that lp_solve takes as native bounds v_j >= 0."""
+    rows = []
+    for j in cols:
+        coeffs = [ZERO] * n
+        coeffs[j] = -ONE
+        rows.append((coeffs, ZERO))
+    return rows
+
+
 def _bound_variable(coeffs, rhs):
     """The variable j if the row reads c * v_j <= 0 with c < 0, else None."""
     if rhs != 0:

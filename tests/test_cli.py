@@ -282,3 +282,50 @@ def test_check_conv_nash_strategy_guard_exits_budget(capsys, tmp_path):
     code, _, err = run(capsys, "check", game, dist, "--set", "conv-nash")
     assert code == EXIT_BUDGET
     assert "guarded at m <= 6" in err
+
+
+@pytest.mark.parametrize(
+    "game, dist",
+    [
+        ({"m": 2, "A": None}, None),
+        ({"m": 2, "A": [1, 2]}, None),
+        ([1, 2], None),
+        ({"m": None, "A": [[1, 2], [3, 4]]}, None),
+        ({"m": 2, "A": [[1, 2], [3, 4]], "labels": 5}, None),
+        ({"m": 2, "A": [[1, 2], [3, 4]]}, {"m": 2, "P": None}),
+    ],
+)
+def test_wrong_json_types_are_parse_errors(capsys, tmp_path, game, dist):
+    game_file = tmp_path / "g.json"
+    game_file.write_text(json.dumps(game))
+    argv = ["analyze", str(game_file)]
+    if dist is not None:
+        dist_file = tmp_path / "w.json"
+        dist_file.write_text(json.dumps(dist))
+        argv = ["check", str(game_file), str(dist_file), "--set", "ce"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert "cannot read" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    argv = [command, str(data_path("chicken.json"))]
+    if command == "check":
+        argv += [str(data_path("exeqsep_w1.json")), "--set", "ce"]
+    code, out, err = run(capsys, *argv, "--tol", tol, "--json")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_extend_needs_two_players(capsys, tmp_path, n):
+    game = str(data_path("minority.json"))
+    dist = write_dist(tmp_path, [["1/4", "1/4"], ["1/4", "1/4"]])
+    code, _, err = run(capsys, "extend", game, dist, "--n", n)
+    assert code == EXIT_PARSE
+    assert "need N >= 2" in err
+    assert "Traceback" not in err

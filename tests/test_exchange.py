@@ -26,6 +26,7 @@ from symmeq import (
     uniform_distribution,
     verify_scheme_equilibrium,
 )
+from symmeq.exactlin import det
 from symmeq.exchange import _quadratic_form
 from symmeq.exchange import INCONCLUSIVE
 from symmeq.games import deviation_gains, mixture
@@ -92,6 +93,81 @@ def test_psd_gram_matrices_always_pass(rng):
         ]
         ok, _ = is_psd_exact(W)
         assert ok
+
+
+def principal_minors_nonnegative(W):
+    # W is PSD iff every principal minor, not only each leading one, is
+    # nonnegative
+    m = len(W)
+    return all(
+        det([[W[i][j] for j in idx] for i in idx]) >= 0
+        for r in range(1, m + 1)
+        for idx in itertools.combinations(range(m), r)
+    )
+
+
+def gram(B):
+    k = len(B[0])
+    return [[sum(u[c] * v[c] for c in range(k)) for v in B] for u in B]
+
+
+def hard_psd_cases(rng):
+    """Seeded symmetric rational matrices, m = 1..6, by kind."""
+    for t in range(600):
+        m = 1 + t % 6
+        kind = t // 6 % 5
+        if kind == 0:  # random entries, some rows zeroed
+            W = [[F(0)] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i, m):
+                    W[i][j] = W[j][i] = F(rng.randint(-4, 4), rng.randint(1, 3))
+            for i in rng.sample(range(m), rng.randint(0, m - 1)):
+                W[i] = [F(0)] * m
+                for row in W:
+                    row[i] = F(0)
+        elif kind == 1:  # zero diagonal entries, nonzero off-diagonals
+            B = [[F(rng.randint(0, 2)) for _ in range(m)] for _ in range(m)]
+            W = gram(B)
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                W[i][i] = F(0)
+        elif kind == 2:  # rank-deficient Gram matrices (PSD)
+            k = rng.randint(1, max(1, m - 1))
+            W = gram([[F(rng.randint(-3, 3), 2) for _ in range(k)] for _ in range(m)])
+        elif kind == 3:  # Gram with zero rows (PSD)
+            B = [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
+            B[rng.randrange(m)] = [F(0)] * m
+            W = gram(B)
+        else:
+            # rank-deficient Gram minus a tiny rank-one term: exactly
+            # indefinite, yet its smallest float eigenvalue is near 0
+            k = max(1, m - 1)
+            W = gram([[F(rng.randint(-3, 3)) for _ in range(k)] for _ in range(m)])
+            u = [F(rng.randint(-2, 2)) for _ in range(m)]
+            eps = F(1, 10**6)
+            W = [[W[i][j] - eps * u[i] * u[j] for j in range(m)] for i in range(m)]
+        yield kind, W
+
+
+def test_psd_decision_matches_principal_minors(rng):
+    verdicts = {kind: set() for kind in range(5)}
+    near_zero = 0
+    for kind, W in hard_psd_cases(rng):
+        ok, wit = is_psd_exact(W)
+        assert ok == principal_minors_nonnegative(W), W
+        verdicts[kind].add(ok)
+        if ok:
+            assert wit is None
+        else:
+            assert len(wit) == len(W) and q(W, wit) < 0
+            lam = np.linalg.eigvalsh(
+                np.array([[float(x) for x in row] for row in W])
+            ).min()
+            near_zero += lam > -1e-4
+    # every kind is exercised, with both verdicts where both can occur
+    assert verdicts[0] == verdicts[1] == {True, False}
+    assert verdicts[2] == verdicts[3] == {True}
+    assert False in verdicts[4]
+    assert near_zero >= 20
 
 
 def test_zero_pattern_certificate(hidden_state_game):
@@ -256,14 +332,6 @@ def test_failed_witness_check_raises(monkeypatch):
     monkeypatch.setattr(symmeq.exchange, "_quadratic_form", lambda W, z: 0)
     with pytest.raises(ExactCheckError):
         is_psd_exact([[F(1), F(2)], [F(2), F(1)]])
-
-
-def test_missing_witness_raises(monkeypatch):
-    # a PSD matrix wrongly taken to have a negative minor leaves the
-    # elimination without a witness
-    monkeypatch.setattr(symmeq.exchange, "det", lambda a: F(-1))
-    with pytest.raises(ExactCheckError):
-        is_psd_exact([[F(1), F(0)], [F(0), F(1)]])
 
 
 def test_failed_witness_check_raises_under_python_O():

@@ -1,0 +1,57 @@
+"""Source hygiene of the package: explicit checks only, no dead imports."""
+
+import ast
+from pathlib import Path
+
+import symmeq
+
+SRC = Path(symmeq.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "exchange.py"}
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so a check written as one would not run
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def imported_names(tree):
+    """(name bound by the import, line) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    # __init__.py imports names to re-export them
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        used = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported_names(tree)
+            if name not in used
+        ]
+    assert unused == []

@@ -185,6 +185,15 @@ def test_extendability_is_monotone_in_n(rng):
             assert a or not b
 
 
+def test_extendability_needs_two_players():
+    # the pair marginal divides by N (N - 1)
+    game = minority_game()
+    W = JointDistribution(m=2, P=[[0, F(1, 2)], [F(1, 2), 0]])
+    for N in (1, 0):
+        with pytest.raises(ValueError, match="need N >= 2"):
+            extendability_lp(game, W, N)
+
+
 def test_budget_guard():
     game = minority_game()
     W = JointDistribution(m=2, P=[[0, F(1, 2)], [F(1, 2), 0]])

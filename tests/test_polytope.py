@@ -1,6 +1,7 @@
 """Correlated-equilibrium systems and exact vertex enumeration."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,9 @@ from symmeq import (
     enumerate_vertices,
     uniform_distribution,
 )
+from symmeq.exactlin import dot, solve
+
+from conftest import random_rational_game
 
 F = Fraction
 
@@ -161,3 +165,38 @@ def test_uniform_need_not_be_equilibrium():
     U = uniform_distribution(2)
     index = SymCEIndex(2)
     assert not sym.satisfied_by(list(index.matrix_to_vec(U.P)))
+
+
+def brute_force_vertices(system):
+    """Vertices as the feasible unique solutions of every choice of
+    n - #equalities inequality rows made tight."""
+    n = system.num_vars
+    eqs = list(system.equalities)
+    found = set()
+    for rows in itertools.combinations(system.inequalities, n - len(eqs)):
+        a = [list(c) for c, _ in eqs + list(rows)]
+        res = solve(a, [b for _, b in eqs + list(rows)])
+        if res is not None and not res[1] and system.satisfied_by(res[0]):
+            found.add(tuple(res[0]))
+    return sorted(found)
+
+
+def test_vertices_match_brute_force():
+    # payoffs in [-2, 2] make ties, hence degenerate vertices: more than
+    # n - 1 inequalities tight, with the one normalisation equality
+    rng = random.Random(2024)
+    systems = []
+    for lo in [-2, -5] * 6:
+        game = random_rational_game(rng, 2, lo, -lo)
+        systems += [ce_system(game, symmetric_only=True), ce_system(game)]
+    for _ in range(2):
+        game = random_rational_game(rng, 3, -2, 2)
+        systems.append(ce_system(game, symmetric_only=True))
+    degenerate = 0
+    for system in systems:
+        verts = enumerate_vertices(system)
+        assert verts == brute_force_vertices(system)
+        for v in verts:
+            tight = [a for a, b in system.inequalities if dot(a, v) == b]
+            degenerate += len(tight) > system.num_vars - 1
+    assert degenerate >= 5
