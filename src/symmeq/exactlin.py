@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction; vectors are lists of Fraction.
-Everything here works by fraction-free-ish Gaussian elimination with exact
-pivoting, so results are theorems about the input, not numerics.
+Matrices are lists of lists of Fractions or ints.  `rank` and `solve`
+share one fraction-free Gauss-Jordan elimination (after Bareiss 1968) on
+rows scaled to integers by `_integer_row`, which the simplex tableau and
+the vertex enumeration use too; results are theorems, not numerics.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -27,10 +29,6 @@ def frac(x):
     return Fraction(x)
 
 
-def mat_copy(a):
-    return [list(row) for row in a]
-
-
 def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a]
 
@@ -39,41 +37,59 @@ def dot(u, v):
     return sum((u[j] * v[j] for j in range(len(v))), ZERO)
 
 
-def _row_reduce(aug, cols):
-    """Gauss-Jordan on the first cols columns of aug, in place; returns the
-    pivots (row, col) in order."""
-    rows = len(aug)
+def _reduced(row, den):
+    """Divide an integer row and its denominator den > 0 by their content;
+    den = 0 divides the row alone by its content."""
+    g = gcd(den, *row)
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+def _integer_row(values):
+    """(integers, denominator) standing for a sequence of Fractions."""
+    den = lcm(*(v.denominator for v in values))
+    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
+
+
+def _row_reduce(rows, cols):
+    """Gauss-Jordan on the first cols columns of the rational rows, kept as
+    integer rows divided by their content.  Returns (ints, pivots), pivots
+    the (row, col) in order: the reduced echelon form's row i is
+    ints[i] / ints[i][c] at pivot (i, c), and the rows past the last pivot
+    are zero in the first cols columns."""
+    ints = [_integer_row(row)[0] for row in rows]
     pivots = []
     r = 0
     for c in range(cols):
-        if r == rows:
+        if r == len(ints):
             break
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        piv = next((i for i in range(r, len(ints)) if ints[i][c]), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        ints[r], ints[piv] = ints[piv], ints[r]
+        prow = ints[r]
+        p = prow[c]
+        for i, row in enumerate(ints):
+            a = row[c]
+            if a and i != r:
+                ints[i] = _reduced([x * p - a * y for x, y in zip(row, prow)], 0)[0]
         pivots.append((r, c))
         r += 1
-    return pivots
+    return ints, pivots
 
 
 def rank(a):
     """Rank of a rational matrix."""
     if not a:
         return 0
-    return len(_row_reduce(mat_copy(a), len(a[0])))
+    return len(_row_reduce(a, len(a[0]))[1])
 
 
 def det(a):
     """Determinant of a square rational matrix."""
     n = len(a)
-    m = mat_copy(a)
+    m = [list(row) for row in a]
     sign = ONE
     acc = ONE
     for c in range(n):
@@ -102,23 +118,20 @@ def solve(a, b):
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    pivots = _row_reduce(aug, cols)
-    r = len(pivots)
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
+    aug, pivots = _row_reduce([list(a[i]) + [b[i]] for i in range(rows)], cols)
+    if any(row[cols] for row in aug[len(pivots):]):
+        return None
     pivot_cols = {c for (_, c) in pivots}
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     particular = [ZERO] * cols
     for (i, c) in pivots:
-        particular[c] = aug[i][cols]
+        particular[c] = Fraction(aug[i][cols], aug[i][c])
     basis = []
     for fc in free_cols:
         v = [ZERO] * cols
         v[fc] = ONE
         for (i, c) in pivots:
-            v[c] = -aug[i][fc]
+            v[c] = Fraction(-aug[i][fc], aug[i][c])
         basis.append(v)
     return particular, basis
 

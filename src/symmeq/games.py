@@ -30,7 +30,16 @@ def _freeze_matrix(rows, m, n=None):
     n = m if n is None else n
     if len(rows) != m or any(len(r) != n for r in rows):
         raise DimensionError(f"expected {m}x{n} matrix")
+    if any(isinstance(x, bool) for r in rows for x in r):
+        raise TypeError("matrix entries must be numbers, not true or false")
     return tuple(tuple(frac(x) for x in r) for r in rows)
+
+
+def _size(d):
+    """The size "m" of a game or distribution dict, which must be an int."""
+    if type(d["m"]) is not int:
+        raise TypeError(f"m must be an integer, got {d['m']!r}")
+    return d["m"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ class SymmetricGame:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(m=int(d["m"]), A=d["A"], labels=d.get("labels"))
+        return cls(m=_size(d), A=d["A"], labels=d.get("labels"))
 
     @classmethod
     def from_file(cls, path):
@@ -112,7 +121,7 @@ class JointDistribution:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(m=int(d["m"]), P=d["P"])
+        return cls(m=_size(d), P=d["P"])
 
     @classmethod
     def from_file(cls, path):

@@ -5,14 +5,16 @@ Vertex enumeration is a double-description-style incremental method seeded
 from the 0/1 bounding box (all systems handled here live in probability
 coordinates), with vertex adjacency decided combinatorially from the rows
 tight at each vertex (Fukuda & Prodon, "Double description method
-revisited", 1996).
+revisited", 1996).  It runs on integer rows in homogeneous coordinates;
+Fractions appear only in the vertices it returns.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .exactlin import ZERO, ONE, dot, rank
+from .exactlin import ZERO, ONE, _integer_row, _reduced, rank
 from .simplex import LinearSystem, bound_rows
 
 # the largest number of variables enumerate_vertices accepts
@@ -132,24 +134,27 @@ def enumerate_vertices(system):
     if n > MAX_BOX_DIM:
         raise ValueError(f"dimension {n} exceeds enumeration budget")
 
-    # constraint rows a.v <= b; the first 2n are the bounding box
+    # integer rows h = (a, -b) scaled: h . (x, d) has the sign of a.v - b
+    # at v = x / d when d > 0; the first 2n are the bounding box
     rows = []
     for j in range(n):
-        e = [ZERO] * n
-        e[j] = ONE
-        rows.append((list(e), ONE))        # v_j <= 1
-        e = [ZERO] * n
-        e[j] = -ONE
-        rows.append((list(e), ZERO))       # -v_j <= 0
+        e = [0] * (n + 1)
+        e[j], e[n] = 1, -1
+        rows.append(e)                     # v_j <= 1
+        e = [0] * (n + 1)
+        e[j] = -1
+        rows.append(e)                     # -v_j <= 0
     n_box = len(rows)
     for a, b in system.equalities:
-        rows += [(a, b), (tuple(-x for x in a), -b)]
-    rows += system.inequalities
+        h = _integer_row(a + (-b,))[0]
+        rows += [h, [-x for x in h]]
+    rows += [_integer_row(a + (-b,))[0] for a, b in system.inequalities]
 
-    # seed: box vertices with their tight box facets
+    # seed: box vertices with their tight box facets; a vertex is the
+    # primitive integer tuple (x_1, ..., x_n, d) with d > 0
     verts = {}
-    for bits in itertools.product((ZERO, ONE), repeat=n):
-        verts[bits] = {2 * j + (0 if bits[j] == ONE else 1) for j in range(n)}
+    for bits in itertools.product((0, 1), repeat=n):
+        verts[bits + (1,)] = {2 * j + 1 - bits[j] for j in range(n)}
 
     def adjacent(tu, tw):
         # every vertex owns its tight set, so identity tells u and w apart
@@ -159,8 +164,8 @@ def enumerate_vertices(system):
         )
 
     for idx in range(n_box, len(rows)):
-        a, b = rows[idx]
-        vals = {pt: dot(a, pt) - b for pt in verts}
+        h = rows[idx]
+        vals = {pt: sum(map(mul, h, pt)) for pt in verts}
         drop = [pt for pt, v in vals.items() if v > 0]
         keep = [pt for pt, v in vals.items() if v < 0]
         # each edge from drop to keep is cut at a new vertex, which lies
@@ -171,8 +176,9 @@ def enumerate_vertices(system):
             for w in keep:
                 vw, tw = vals[w], verts[w]
                 if adjacent(tu, tw):
-                    t = vu / (vu - vw)
-                    z = tuple(u[j] + t * (w[j] - u[j]) for j in range(n))
+                    # vu > 0 > vw: a positive combination, tight on h
+                    z = _reduced([vu * y - vw * x for x, y in zip(u, w)], 0)[0]
+                    z = tuple(z)
                     new_pts.setdefault(z, {idx}).update(tu & tw)
         for pt, v in vals.items():
             if v > 0:
@@ -182,9 +188,9 @@ def enumerate_vertices(system):
         verts.update(new_pts)
 
     for tight in verts.values():
-        if rank([rows[i][0] for i in tight if i >= n_box]) < n:
+        if rank([rows[i][:n] for i in tight if i >= n_box]) < n:
             raise UnboundedPolytopeError(
                 "vertex pinned by the bounding box; polyhedron may be "
                 "unbounded or exceed the unit box"
             )
-    return sorted(verts)
+    return sorted(tuple(Fraction(x, pt[n]) for x in pt[:n]) for pt in verts)

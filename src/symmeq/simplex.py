@@ -19,9 +19,10 @@ row's from the column of its variable.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 from .exactlin import ZERO, ONE, ExactCheckError, dot, frac
+from .exactlin import _integer_row, _reduced
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -106,20 +107,6 @@ def require_infeasible(system, res):
         raise ExactCheckError(
             f"expected a verified infeasible LP, got {res.status}"
         )
-
-
-def _reduced(row, den):
-    """Divide an integer row and its denominator den > 0 by their content."""
-    g = gcd(den, *row)
-    if g > 1:
-        return [x // g for x in row], den // g
-    return row, den
-
-
-def _integer_row(values):
-    """(integers, denominator) standing for a sequence of Fractions."""
-    den = lcm(*(v.denominator for v in values))
-    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
 
 
 class _Tableau:

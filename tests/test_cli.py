@@ -293,6 +293,11 @@ def test_check_conv_nash_strategy_guard_exits_budget(capsys, tmp_path):
         ({"m": None, "A": [[1, 2], [3, 4]]}, None),
         ({"m": 2, "A": [[1, 2], [3, 4]], "labels": 5}, None),
         ({"m": 2, "A": [[1, 2], [3, 4]]}, {"m": 2, "P": None}),
+        ({"m": 2.9, "A": [[1, 2], [3, 4]]}, None),
+        ({"m": 2.0, "A": [[1, 2], [3, 4]]}, None),
+        ({"m": 2, "A": [[True, 2], [3, 4]]}, None),
+        ({"m": 2, "A": [[1, 2], [3, 4]]}, {"m": 2.5, "P": [[1, 0], [0, 0]]}),
+        ({"m": 2, "A": [[1, 2], [3, 4]]}, {"m": 2, "P": [[True, 0], [0, 0]]}),
     ],
 )
 def test_wrong_json_types_are_parse_errors(capsys, tmp_path, game, dist):

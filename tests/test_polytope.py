@@ -192,6 +192,13 @@ def test_vertices_match_brute_force():
     for _ in range(2):
         game = random_rational_game(rng, 3, -2, 2)
         systems.append(ce_system(game, symmetric_only=True))
+    # payoffs with denominators 3 and 7 give rows that need scaling
+    for den in [3, 7] * 3:
+        game = random_rational_game(rng, 2, -2, 2, den=den)
+        systems += [ce_system(game, symmetric_only=True), ce_system(game)]
+    for den in [3, 7]:
+        game = random_rational_game(rng, 3, -2, 2, den=den)
+        systems.append(ce_system(game, symmetric_only=True))
     degenerate = 0
     for system in systems:
         verts = enumerate_vertices(system)
