@@ -44,7 +44,7 @@ from .orbits import (
     extendability_lp,
     minority_parity_suite,
 )
-from .polytope import SymCEIndex, UnboundedPolytopeError, ce_system, enumerate_vertices
+from .polytope import MAX_BOX_DIM, SymCEIndex, ce_system, enumerate_vertices
 
 SCHEMA_VERSION = 1
 
@@ -54,8 +54,6 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
-
-VERTEX_ENUM_MAX_M = 4
 
 
 def _version():
@@ -157,21 +155,18 @@ def cmd_analyze(args):
         "symmetric_strategies": [jsonable(x.x) for x in sym.points],
     }
 
+    # vertices only within the enumeration's size limit (m <= 4)
     vertices = None
-    if game.m <= VERTEX_ENUM_MAX_M or args.force:
-        index = SymCEIndex(game.m)
-        try:
-            verts = enumerate_vertices(ce_system(game, symmetric_only=True))
-        except (UnboundedPolytopeError, ValueError) as exc:
-            print(f"error: vertex enumeration: {exc}", file=sys.stderr)
-            sys.exit(EXIT_BUDGET)
+    index = SymCEIndex(game.m)
+    if index.size <= MAX_BOX_DIM:
+        verts = enumerate_vertices(ce_system(game, symmetric_only=True))
         vertices = [jsonable(index.vec_to_matrix(v)) for v in verts]
     report["ce_sym_vertices"] = vertices
 
     table = {}
     ce = max_utility(game, CE_SYM)
     table[CE_SYM] = {"value": jsonable(ce.value), "exact": True}
-    xe = max_utility(game, XE_SYM, tol=args.tol, seed=args.seed)
+    xe = max_utility(game, XE_SYM, tol=args.tol)
     table[XE_SYM] = {
         "value": jsonable(xe.value),
         "exact": xe.exact,
@@ -351,11 +346,6 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="full report on a game file")
     p.add_argument("game_file")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="attempt vertex enumeration beyond the m <= 4 guard",
-    )
     common(p)
     p.set_defaults(func=cmd_analyze)
 

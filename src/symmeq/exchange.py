@@ -185,7 +185,7 @@ def certify_conditionally_iid(W, tol=DEFAULT_TOL, factorize=True, seed=0):
     )
 
 
-def cp_factorize(W, tol=DEFAULT_TOL, starts=20, iters=5000, seed=0, k=None):
+def cp_factorize(W, tol=DEFAULT_TOL, starts=20, iters=5000, seed=0):
     """Search for a completely positive factorization W = B B^T, B >= 0.
 
     Multi-start projected-gradient descent on ||W - B B^T||_F^2 with a
@@ -195,7 +195,7 @@ def cp_factorize(W, tol=DEFAULT_TOL, starts=20, iters=5000, seed=0, k=None):
     """
     m = W.m
     Wf = np.array([[float(x) for x in row] for row in W.P])
-    kmax = m * (m + 1) // 2 if k is None else k
+    kmax = m * (m + 1) // 2
     num_rank = int(np.linalg.matrix_rank(Wf, tol=1e-12))
     best = None
     for ncols in range(max(1, num_rank), kmax + 1):

@@ -66,7 +66,13 @@ class SymmetricGame:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(m=_size(d), A=d["A"], labels=d.get("labels"))
+        m, labels = _size(d), d.get("labels")
+        if labels is not None and (
+            type(labels) is not list
+            or any(type(x) is not str for x in labels)
+        ):
+            raise TypeError(f"labels must be a list of strings, got {labels!r}")
+        return cls(m=m, A=d["A"], labels=labels)
 
     @classmethod
     def from_file(cls, path):

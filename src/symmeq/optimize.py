@@ -231,7 +231,7 @@ def _rationalize_argmax(game, M, value, tol=1e-6):
     return None
 
 
-def max_utility(game, set_name, tol=DEFAULT_TOL, seed=0, nash=None):
+def max_utility(game, set_name, tol=DEFAULT_TOL, nash=None):
     """Maximize expected utility over one equilibrium set.
 
     CE_sym and ConvNashSym are exact; XE_sym goes through the

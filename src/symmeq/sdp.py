@@ -4,9 +4,12 @@ Maximizes a linear functional of a symmetric m x m matrix variable over the
 intersection of a polytope (inequalities/equalities on the upper-triangle
 coordinates) with the positive semidefinite cone.
 
-Exact preprocessing comes first.  Inequalities that are tight on the whole
-polytope join the equalities, and one exact solve of the equalities gives
-their affine hull: a rational point u0 and a null-space basis of size k.
+Exact preprocessing comes first, on bounded polytopes only.  Inequalities
+that are tight on the whole polytope join the equalities.  They are found
+by exact LPs over the system itself, each maximizing the total slack of the
+rows still in question and dropping those slack at its optimum, until no
+row drops.  Then one exact solve of the equalities gives their affine
+hull: a rational point u0 and a null-space basis of size k.
 When k = 0 the polytope is the single point u0 and no barrier runs: an exact
 PSD test of W(u0) makes the program optimal at u0 or infeasible.
 
@@ -27,11 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import ExactCheckError, solve
+from .exactlin import ExactCheckError, dot, solve
 from .exchange import is_psd_exact
 from .games import DEFAULT_TOL
 from .polytope import SymCEIndex, ce_system
-from .simplex import LinearSystem, lp_solve
+from .simplex import lp_solve
 
 STOP_REASONS = ("converged", "line_search_failed", "singular", "step_cap")
 
@@ -71,41 +74,39 @@ def _split_implicit_equalities(system):
     """Exact preprocessing: inequalities whose slack is zero everywhere on
     the feasible set are really equalities, and leaving them as inequalities
     ruins the barrier's conditioning.  Returns (inequalities, equalities,
-    linear_infeasible); the equalities may be linearly dependent."""
-    n = system.num_vars
-    zero = Fraction(0)
-    one = Fraction(1)
-    # one max-margin LP up front: a strictly positive margin proves there
-    # are no implicit equalities, skipping the per-row LPs entirely
-    margin_sys = LinearSystem(
-        num_vars=n + 1,
-        inequalities=[
-            (list(a) + [one], b) for a, b in system.inequalities
-        ],
-        equalities=[(list(a) + [zero], b) for a, b in system.equalities],
-    )
-    obj = [zero] * n + [one]
-    margin = lp_solve(margin_sys, obj)
-    if margin.status == "infeasible":
-        return list(system.inequalities), list(system.equalities), True
-    if margin.status == "unbounded" or (
-        margin.status == "optimal" and margin.optimum > 0
-    ):
-        return list(system.inequalities), list(system.equalities), False
-    center = margin.point[:n] if margin.status == "optimal" else None
+    linear_infeasible); the equalities may be linearly dependent.
 
-    ineqs, eqs = [], list(system.equalities)
-    for a, b in system.inequalities:
-        if center is not None:
-            slack = b - sum(c * x for c, x in zip(a, center))
-            if slack > 0:
-                ineqs.append((a, b))
-                continue
-        res = lp_solve(system, list(a), sense="min")
-        if res.status == "optimal" and res.optimum == b:
-            eqs.append((a, b))
-        else:
-            ineqs.append((a, b))
+    Each round solves one LP over the system itself, maximizing the total
+    slack of the candidate rows T (at first all inequalities), and shrinks
+    T to its rows tight at the optimal point.  A row that leaves T is slack
+    somewhere, so it is no implicit equality.  When T stops shrinking the
+    optimum is zero, so every row left in T is tight on the whole polytope;
+    an empty T needs no further LP.  Each round but the last shrinks T, so
+    there are at most |T| + 1 LPs.  Only bounded polytopes are accepted:
+    an unbounded LP raises ValueError.
+    """
+    rows = system.inequalities
+    candidates = list(range(len(rows)))
+    while True:
+        objective = [
+            -sum(rows[i][0][j] for i in candidates)
+            for j in range(system.num_vars)
+        ]
+        res = lp_solve(system, objective)
+        if res.status == "infeasible":
+            return list(rows), list(system.equalities), True
+        if res.status == "unbounded":
+            raise ValueError("implicit equalities need a bounded polytope")
+        tight = [
+            i for i in candidates if dot(rows[i][0], res.point) == rows[i][1]
+        ]
+        shrunk = len(tight) < len(candidates)
+        candidates = tight
+        if not (shrunk and candidates):
+            break
+    implicit = set(candidates)
+    ineqs = [row for i, row in enumerate(rows) if i not in implicit]
+    eqs = list(system.equalities) + [rows[i] for i in candidates]
     return ineqs, eqs, False
 
 

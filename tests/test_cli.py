@@ -256,6 +256,21 @@ def test_minority_budget_guard(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_analyze_reports_no_vertices_beyond_enumeration_limit(capsys, tmp_path):
+    # at m = 5 the symmetric-CE system has 15 variables, past MAX_BOX_DIM
+    game = write_game(tmp_path, [[(i * j) % 5 - 2 for j in range(5)] for i in range(5)])
+    code, out, _ = run(capsys, "analyze", game, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["ce_sym_vertices"] is None
+
+
+def test_analyze_has_no_force_flag(capsys):
+    code, out, err = run(capsys, "analyze", str(data_path("chicken.json")), "--force")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "unrecognized arguments: --force" in err
+
+
 def test_analyze_strategy_guard_exits_budget(capsys, tmp_path):
     game = write_game(tmp_path, [[(i * j) % 5 - 2 for j in range(7)] for i in range(7)])
     code, out, err = run(capsys, "analyze", game)
@@ -298,6 +313,9 @@ def test_check_conv_nash_strategy_guard_exits_budget(capsys, tmp_path):
         ({"m": 2, "A": [[True, 2], [3, 4]]}, None),
         ({"m": 2, "A": [[1, 2], [3, 4]]}, {"m": 2.5, "P": [[1, 0], [0, 0]]}),
         ({"m": 2, "A": [[1, 2], [3, 4]]}, {"m": 2, "P": [[True, 0], [0, 0]]}),
+        ({"m": 2, "A": [[1, 2], [3, 4]], "labels": "ab"}, None),
+        ({"m": 2, "A": [[1, 2], [3, 4]], "labels": {"x": 1, "y": 2}}, None),
+        ({"m": 2, "A": [[1, 2], [3, 4]], "labels": [1, 2]}, None),
     ],
 )
 def test_wrong_json_types_are_parse_errors(capsys, tmp_path, game, dist):

@@ -1,4 +1,5 @@
-"""Source hygiene of the package: explicit checks only, no dead imports."""
+"""Source hygiene of the package: explicit checks only, no dead imports
+or parameters."""
 
 import ast
 from pathlib import Path
@@ -54,4 +55,28 @@ def test_no_unused_imports():
             for name, line in imported_names(tree)
             if name not in used
         ]
+    assert unused == []
+
+
+def test_no_unused_parameters():
+    # a parameter that the body never reads is a knob that does nothing
+    unused = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unused += [
+                f"{path.name} {node.name} {a.arg}"
+                for a in params
+                if a.arg not in read
+            ]
     assert unused == []

@@ -17,6 +17,9 @@ from symmeq import (
     problem_from_system,
     sdp_solve,
 )
+from symmeq.exactlin import dot
+from symmeq.polytope import enumerate_vertices
+from symmeq.sdp import _split_implicit_equalities
 from symmeq.simplex import LinearSystem
 
 from conftest import random_rational_game
@@ -231,6 +234,53 @@ def test_pinned_point_outside_psd_cone_is_infeasible():
     res = sdp_solve(problem_from_system(2, system, [[1, 0], [0, 1]]))
     assert res.status == "infeasible"
     assert res.iterations == 0
+
+
+def vertex_oracle_split(system):
+    """Independent oracle: on a bounded polytope a row is an implicit
+    equality exactly when it is tight at every vertex."""
+    verts = enumerate_vertices(system)
+    implicit = [
+        (a, b) for a, b in system.inequalities
+        if all(dot(a, v) == b for v in verts)
+    ]
+    ineqs = [row for row in system.inequalities if row not in implicit]
+    return ineqs, list(system.equalities) + implicit, False
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("den", [1, 3, 7])
+def test_implicit_equalities_match_vertex_oracle(m, den):
+    rng = random.Random(f"implicit-equalities:{m}:{den}")
+    with_implicit = 0
+    for _ in range(40):
+        system = ce_system(
+            random_rational_game(rng, m, den=den), symmetric_only=True
+        )
+        split = _split_implicit_equalities(system)
+        assert split == vertex_oracle_split(system)
+        with_implicit += len(split[1]) > len(system.equalities)
+    # the draws must include systems with implicit equalities
+    assert with_implicit >= 5
+
+
+def test_implicit_equalities_of_infeasible_system(chicken):
+    system = ce_system(chicken, symmetric_only=True)
+    # total mass at most -1 contradicts sum = 1
+    cut = LinearSystem(
+        num_vars=system.num_vars,
+        inequalities=list(system.inequalities) + [([F(1)] * 3, F(-1))],
+        equalities=list(system.equalities),
+    )
+    ineqs, eqs, infeasible = _split_implicit_equalities(cut)
+    assert infeasible
+    assert ineqs == list(cut.inequalities) and eqs == list(cut.equalities)
+
+
+def test_implicit_equalities_need_a_bounded_polytope():
+    system = LinearSystem(num_vars=2, inequalities=[([-1, 0], 0), ([0, -1], 0)])
+    with pytest.raises(ValueError, match="bounded"):
+        _split_implicit_equalities(system)
 
 
 def test_stats_account_for_every_centering(hidden_state_game):
