@@ -168,7 +168,8 @@ def cmd_analyze(args):
     table[CE_SYM] = {"value": jsonable(ce.value), "exact": True}
     xe = max_utility(game, XE_SYM, tol=args.tol)
     table[XE_SYM] = {
-        "value": jsonable(xe.value),
+        # a failed solve has no value, and NaN is not JSON
+        "value": jsonable(xe.value) if xe.value == xe.value else None,
         "exact": xe.exact,
         "upper_bound_only": xe.upper_bound_only,
         "tolerance": None if xe.exact else args.tol + 1e-6,
@@ -341,12 +342,14 @@ def build_parser():
 
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--seed", type=int, default=0)
+
+    def tol(p):
         p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("analyze", help="full report on a game file")
     p.add_argument("game_file")
     common(p)
+    tol(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="membership of a distribution")
@@ -358,6 +361,8 @@ def build_parser():
         help="equilibrium set: ce, xe, or conv-nash",
     )
     common(p)
+    tol(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("extend", help="N-exchangeable extendability")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .exactlin import ZERO, ONE, frac
 
 # the one default numerical tolerance of the float-guided solvers (the SDP
-# barrier's gap, CP factorisation) and of the CLI's --tol
+# duality gap, CP factorisation) and of the CLI's --tol
 DEFAULT_TOL = 1e-8
 
 

@@ -1,28 +1,26 @@
-"""Dense log-barrier solver for small DNN-cap-polytope programs.
-
-Maximizes a linear functional of a symmetric m x m matrix variable over the
-intersection of a polytope (inequalities/equalities on the upper-triangle
-coordinates) with the positive semidefinite cone.
+"""Dense primal-dual interior-point solver for small DNN-cap-polytope
+programs: maximize a linear functional of a symmetric m x m matrix variable
+over a polytope (rows on the upper-triangle coordinates) intersected with
+the positive semidefinite cone.
 
 Exact preprocessing comes first, on bounded polytopes only.  Inequalities
-that are tight on the whole polytope join the equalities.  They are found
-by exact LPs over the system itself, each maximizing the total slack of the
-rows still in question and dropping those slack at its optimum, until no
-row drops.  Then one exact solve of the equalities gives their affine
-hull: a rational point u0 and a null-space basis of size k.
-When k = 0 the polytope is the single point u0 and no barrier runs: an exact
-PSD test of W(u0) makes the program optimal at u0 or infeasible.
+tight on the whole polytope join the equalities; exact LPs over the system
+itself find them, each maximizing the total slack of the rows still in
+question and dropping those slack at its optimum, until no row drops.  One
+exact solve of the equalities then gives their affine hull: a rational
+point u0 and a null-space basis of size k.  When k = 0 the polytope is the
+point u0, and an exact PSD test of W(u0) makes the program optimal at u0 or
+infeasible.
 
-When k >= 1 the barrier runs in the coordinates z of u = u0 + Q z, with Q an
-orthonormal float basis of that null space, so every Newton step solves an
-unconstrained k x k system and no iterate drifts off the equality plane.
-One centering routine serves both phases.  Phase 1 appends a variable s
-that enters every slack and the PSD block, and drives it below zero; phase
-2 follows the central path of the objective, with t growing tenfold per
-centering.  A tiny uniform relaxation `delta` keeps the method well defined
-on feasible sets with empty interior (which really occur: some games'
-DNN-cap-CE set is a single rank-1 matrix), so a barrier value carries
-tolerance `gap + O(delta)`, never an exactness claim.
+When k >= 1 an infeasible-start primal-dual method runs in the coordinates
+z of u = u0 + Q z, with Q an orthonormal float basis of that null space, so
+each step solves a k x k Schur system and no iterate leaves the equality
+plane.  A tiny uniform relaxation DELTA of every constraint keeps it well
+defined on feasible sets with empty interior (some games' DNN-cap-CE set is
+a single rank-1 matrix), so a float value carries tolerance
+`gap + O(DELTA)`, with `gap` the measured duality gap.  It is optimal only
+when the final point satisfies the relaxed program, and a numerical failure
+otherwise; no float decides infeasibility.
 """
 
 from dataclasses import dataclass, field
@@ -30,13 +28,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import ExactCheckError, dot, solve
+from .exactlin import ZERO, ExactCheckError, solve
 from .exchange import is_psd_exact
 from .games import DEFAULT_TOL
 from .polytope import SymCEIndex, ce_system
 from .simplex import lp_solve
 
-STOP_REASONS = ("converged", "line_search_failed", "singular", "step_cap")
+DELTA = 1e-8            # uniform relaxation of every constraint
+STEP = 0.95             # share of the way to a cone's boundary a step goes
+MAX_ITERATIONS = 80
+# the dual pair starts above the primal one, so that the primal residual
+# falls ahead of the gap
+DUAL_START = 10.0
+STOP_REASONS = ("converged", "singular", "step_cap")
 
 
 @dataclass(frozen=True)
@@ -63,17 +67,17 @@ class SdpResult:
     matrix: np.ndarray
     gap: float
     delta: float
-    iterations: int                # centerings, both phases
+    iterations: int                # primal-dual iterations
     residuals: dict
-    # k, and per phase the centerings, Newton steps and backtracks, plus a
-    # count of each reason a centering stopped (STOP_REASONS)
+    # k; when the primal-dual loop ran, also its iterations, its stop reason
+    # (STOP_REASONS), the final mu and the primal and dual residuals
     stats: dict = field(default_factory=dict)
 
 
 def _split_implicit_equalities(system):
     """Exact preprocessing: inequalities whose slack is zero everywhere on
     the feasible set are really equalities, and leaving them as inequalities
-    ruins the barrier's conditioning.  Returns (inequalities, equalities,
+    ruins the float solver's conditioning.  Returns (inequalities, equalities,
     linear_infeasible); the equalities may be linearly dependent.
 
     Each round solves one LP over the system itself, maximizing the total
@@ -97,8 +101,11 @@ def _split_implicit_equalities(system):
             return list(rows), list(system.equalities), True
         if res.status == "unbounded":
             raise ValueError("implicit equalities need a bounded polytope")
+        support = [(j, x) for j, x in enumerate(res.point) if x]
         tight = [
-            i for i in candidates if dot(rows[i][0], res.point) == rows[i][1]
+            i for i in candidates
+            if sum((rows[i][0][j] * x for j, x in support), ZERO)
+            == rows[i][1]
         ]
         shrunk = len(tight) < len(candidates)
         candidates = tight
@@ -167,227 +174,170 @@ def dnn_ce_problem(game, objective_matrix=None):
     )
 
 
-class _Geometry:
-    """Index bookkeeping between upper-triangle vectors and matrices."""
-
-    def __init__(self, m):
-        self.m = m
-        index = SymCEIndex(m)
-        pairs = index.pairs
-        self.I = np.array([p[0] for p in pairs])
-        self.J = np.array([p[1] for p in pairs])
-        self.mu = np.where(self.I == self.J, 1.0, 2.0)
-
-    def mat(self, u):
-        W = np.zeros((self.m, self.m))
-        W[self.I, self.J] = u
-        W[self.J, self.I] = u
-        return W
-
-    def vec_obj(self, C):
-        return self.mu * C[self.I, self.J]
+def _mat(m, u):
+    """The symmetric m x m matrix of upper-triangle coordinates u."""
+    I, J = np.triu_indices(m)
+    W = np.zeros((m, m))
+    W[I, J] = W[J, I] = u
+    return W
 
 
-def _center(W0, Ms, G, h0, c, z, t, tol_dec, max_steps=60):
-    """Minimize -t c.z - log det(W0 + sum_i z_i Ms[i]) - sum log(h0 - G z)
-    by damped Newton steps from a strictly feasible z.
+def _step(worst):
+    """Step length that goes STEP of the way to the boundary of a cone, and
+    at most 1; `worst` is the least rate of change per unit step: the least
+    eigenvalue of L^-1 dX L^-T (L the Cholesky factor of X), or of ds / s."""
+    return 1.0 if worst >= -STEP else STEP / -worst
 
-    Returns (z, reason, steps, backtracks), where reason is one of
-    STOP_REASONS: `line_search_failed` means no Armijo step stays inside the
-    domain, i.e. float64 cannot improve this center any more, and
-    `singular` that the Newton system (or the start) could not be factored.
-    """
-    p, m = len(z), len(W0)
-    M = Ms.reshape(p, m * m)
 
-    def merit(z):
-        slack = h0 - G @ z
-        if np.any(slack <= 0):
-            return None
-        # one Cholesky both tests W > 0 and gives log det W; a positive
-        # determinant alone does not imply PSD
+def _primal_dual(A0, Ms, GQ, h0, c, tol):
+    """Maximize c.z s.t. X = A0 + sum_i z_i Ms[i] PSD, s = h0 - GQ z >= 0,
+    with HKM directions and Mehrotra predictor-corrector steps from an
+    infeasible start.  The dual pair (Y, lam) satisfies
+    <Ms[i], Y> - (GQ^T lam)_i = -c_i; the gap is mu nu = <X, Y> + s.lam.
+
+    The iterate is centred (sigma = 1 until two successive steps are full)
+    when the gap first falls below sqrt(tol), which puts it near the
+    analytic centre of the optimal face (where rounding finds exact optima)
+    while the Schur complement, whose condition grows like 1 / mu^2, still
+    resolves directions along that face; and below tol, which ends the
+    loop.  Returns (z, gap, stats)."""
+    k, m = Ms.shape[:2]
+    M = Ms.reshape(k, m * m)
+    eye = np.eye(m)
+    z, X, Y = np.zeros(k), eye, DUAL_START * eye
+    s, lam = np.ones(len(h0)), np.full(len(h0), DUAL_START)
+    nu = m + len(h0)
+    levels, steps, full = [np.sqrt(tol), tol], 0, 0
+    while True:
+        mu = (np.vdot(X, Y) + s @ lam) / nu
+        Rp = A0 + (z @ M).reshape(m, m) - X
+        rs = h0 - GQ @ z - s
+        rd = M @ Y.ravel() - GQ.T @ lam + c
+        if full == 2:
+            levels, full = levels[1:], 0
+        if not levels:
+            reason = "converged"
+            break
+        if steps == MAX_ITERATIONS:
+            reason = "step_cap"
+            break
         try:
-            L = np.linalg.cholesky(W0 + (z @ M).reshape(m, m))
+            Li = np.linalg.inv(np.linalg.cholesky(np.stack([X, Y])))
+            Xi = Li[0].T @ Li[0]
+            # H_ij = <M_i, X^-1 M_j Y> + (GQ^T diag(lam / s) GQ)_ij; after
+            # diagonal scaling a pseudo-inverse gives a direction that float64
+            # cannot resolve no step instead of a step of rounding noise
+            H = np.einsum("iab,jba->ij", Ms, Xi @ Ms @ Y) + GQ.T @ (
+                (lam / s)[:, None] * GQ
+            )
+            d = 1.0 / np.sqrt(np.diagonal(H))
+            Hi = d[:, None] * np.linalg.pinv(d * H * d[:, None], hermitian=True)
+            Hi *= d
         except np.linalg.LinAlgError:
-            return None
-        logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
-        return -t * float(c @ z) - logdet - float(np.log(slack).sum()), L, slack
+            reason = "singular"
+            break
 
-    cur = merit(z)
-    if cur is None:
-        return z, "singular", 0, 0
-    backtracks = 0
-    for step in range(max_steps):
-        val, L, slack = cur
-        Li = np.linalg.inv(L)
-        # with B_i = L^-1 M_i L^-T: d/dz_i -log det W = -tr B_i and the
-        # Hessian entry (i, j) is <B_i, B_j>
-        B = (Li @ Ms @ Li.T).reshape(p, m * m)
-        Gs = G / slack[:, None]
-        grad = -t * c - B[:, :: m + 1].sum(axis=1) + Gs.sum(axis=0)
-        hess = B @ B.T + Gs.T @ Gs + 1e-12 * np.eye(p)
-        try:
-            dz = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            return z, "singular", step, backtracks
-        dec = float(dz @ hess @ dz)
-        if not np.isfinite(dec):
-            return z, "singular", step, backtracks
-        alpha = 1.0
-        while alpha >= 1e-12:
-            nxt = merit(z + alpha * dz)
-            if nxt is not None and nxt[0] <= val - 0.01 * alpha * dec:
-                break
-            alpha *= 0.5
-            backtracks += 1
+        def direction(Rc, rc):
+            # Newton step, with its primal and dual step lengths, for the
+            # complementarity targets X dY + dX Y = Rc, lam ds + s dlam = rc
+            dz = Hi @ (
+                rd + M @ (Xi @ (Rc - Rp @ Y)).ravel()
+                - GQ.T @ ((rc - lam * rs) / s)
+            )
+            dX = Rp + (dz @ M).reshape(m, m)
+            dY = Xi @ (Rc - dX @ Y)
+            dY = 0.5 * (dY + dY.T)
+            ds = rs - GQ @ dz
+            dl = (rc - lam * ds) / s
+            least = np.linalg.eigvalsh(
+                Li @ np.stack([dX, dY]) @ Li.transpose(0, 2, 1)
+            ).min(axis=1)
+            ap = _step(min(least[0], np.min(ds / s, initial=0.0)))
+            ad = _step(min(least[1], np.min(dl / lam, initial=0.0)))
+            return dz, dX, dY, ds, dl, ap, ad
+
+        XY = X @ Y
+        centring = mu * nu <= levels[0]
+        if centring:
+            Rc, rc = mu * eye - XY, mu - s * lam
         else:
-            return z, "line_search_failed", step, backtracks
-        z, cur = z + alpha * dz, nxt
-        moved = alpha * float(np.linalg.norm(dz))
-        if dec / 2.0 < tol_dec or moved < 1e-12 * (
-            1.0 + float(np.linalg.norm(z))
-        ):
-            return z, "converged", step + 1, backtracks
-    return z, "step_cap", max_steps, backtracks
+            dz, dX, dY, ds, dl, ap, ad = direction(-XY, -s * lam)
+            mu_aff = (
+                np.vdot(X + ap * dX, Y + ad * dY)
+                + (s + ap * ds) @ (lam + ad * dl)
+            ) / nu
+            target = (mu_aff / mu) ** 3 * mu
+            Rc = target * eye - XY - dX @ dY
+            rc = target - s * lam - ds * dl
+        dz, dX, dY, ds, dl, ap, ad = direction(Rc, rc)
+        z, X, s = z + ap * dz, X + ap * dX, s + ap * ds
+        Y, lam = Y + ad * dY, lam + ad * dl
+        steps += 1
+        full = full + 1 if centring and ap == ad == 1.0 else 0
+    primal = max(np.abs(Rp).max(), np.abs(rs).max(initial=0.0))
+    return z, mu * nu, {
+        "k": k, "iterations": steps, "stop": reason, "mu": float(mu),
+        "primal_residual": float(primal),
+        "dual_residual": float(np.abs(rd).max()),
+    }
 
 
-def _residuals(problem, geom, u):
+def _residuals(problem, u):
     G, h, E, f = problem.G, problem.h, problem.E, problem.f
     return {
         "max_inequality_violation": float(np.max(G @ u - h)) if G.size else 0.0,
         "max_equality_violation": float(np.max(np.abs(E @ u - f)))
         if E.size
         else 0.0,
-        "min_eigenvalue": float(np.linalg.eigvalsh(geom.mat(u)).min()),
+        "min_eigenvalue": float(np.linalg.eigvalsh(_mat(problem.m, u)).min()),
     }
 
 
-def sdp_solve(problem, tol=DEFAULT_TOL, delta=1e-8):
-    """Solve the relaxed program max c.u s.t. G u <= h + delta,
-    W(u) + delta I >= 0 (PSD), E u = f.
-
-    Returns an SdpResult whose gap field is the final barrier duality-gap
-    estimate; `value` approximates the true optimum within gap + O(delta).
-    When the equalities pin a single point u0 the answer is exact: optimal
-    at u0 with gap 0 if W(u0) is PSD, infeasible otherwise.
-    """
+def sdp_solve(problem, tol=DEFAULT_TOL):
+    """Solve the relaxed program max c.u s.t. G u <= h + DELTA,
+    W(u) + DELTA I >= 0 (PSD), E u = f; see the module docstring for the
+    meaning of the result's status, value and gap."""
     m = problem.m
-    geom = _Geometry(m)
-    G, h = problem.G, problem.h
-    cost = geom.vec_obj(problem.objective)
-    stats = {
-        "k": None,
-        "phase1": {"centerings": 0, "newton_steps": 0, "backtracks": 0},
-        "phase2": {"centerings": 0, "newton_steps": 0, "backtracks": 0},
-        "stops": dict.fromkeys(STOP_REASONS, 0),
-    }
+    I, J = np.triu_indices(m)
+    cost = np.where(I == J, 1.0, 2.0) * problem.objective[I, J]
 
-    def result(status, value, u, gap, residuals):
+    def result(status, value, u, gap, residuals, stats):
         return SdpResult(
-            status=status,
-            value=value,
-            matrix=geom.mat(u),
-            gap=gap,
-            delta=delta,
-            iterations=stats["phase1"]["centerings"]
-            + stats["phase2"]["centerings"],
-            residuals=residuals,
-            stats=stats,
+            status, value, _mat(m, u), gap, DELTA,
+            stats.get("iterations", 0), residuals, stats,
         )
 
     if problem.linear_infeasible:
         # the exact preprocessing LP already proved the polytope empty
         return result(
-            "infeasible", float("nan"), np.zeros(problem.dim), 0.0,
-            {"phase1_s": float("inf")},
+            "infeasible", float("nan"), np.zeros(problem.dim), 0.0, {},
+            {"k": None},
         )
-
     Q = problem.Q
-    k = Q.shape[1]
-    stats["k"] = k
     u0 = np.array([float(x) for x in problem.u0])
-    if k == 0:
+    if Q.shape[1] == 0:
         # the polytope is the single exact point u0
         W = [list(row) for row in SymCEIndex(m).vec_to_matrix(problem.u0)]
         if is_psd_exact(W)[0]:
             value, status = float(cost @ u0), "optimal"
         else:
             value, status = float("nan"), "infeasible"
-        return result(status, value, u0, 0.0, _residuals(problem, geom, u0))
+        return result(status, value, u0, 0.0, _residuals(problem, u0), {"k": 0})
 
-    def center(phase, *args):
-        z, reason, steps, backtracks = _center(*args)
-        record = stats[phase]
-        record["centerings"] += 1
-        record["newton_steps"] += steps
-        record["backtracks"] += backtracks
-        stats["stops"][reason] += 1
-        return z
-
-    Ms = np.stack([geom.mat(q) for q in Q.T])
-    GQ = G @ Q
-    eye = np.eye(m)
-    W_u0 = geom.mat(u0)
-    slack_u0 = h - G @ u0
-
-    # candidate start: uniform matrix blended toward the scaled identity,
-    # projected onto the equality plane; strictly feasible for many games
-    eps = 1e-2
-    W_start = (1.0 - eps) * np.full((m, m), 1.0 / (m * m)) + eps * eye / m
-    z = Q.T @ (W_start[geom.I, geom.J] - u0)
-    u = u0 + Q @ z
-    lam_min = float(np.linalg.eigvalsh(geom.mat(u)).min())
-    viol = float(np.max(G @ u - h)) if G.size else 0.0
-    margin = 1e-8
-    interior = viol < -margin and lam_min > margin
-    s = max(viol, -lam_min, 0.0) + 1.0
-
-    nu = m + len(h)
-    t1 = 1.0
-    if not interior:
-        # phase 1 in (z, s): s is one more coordinate whose matrix is I and
-        # whose column in G is -1, and the cost minimizes s.  It works
-        # against half-relaxed constraints, so that feasible sets with empty
-        # interior (single points, flat faces) still have margin delta/2
-        # and center to a strictly negative s; it drives s well below zero,
-        # not just below the tolerance, because phase 2 needs a genuinely
-        # interior start or its first centerings stall on the boundary
-        half = 0.5 * delta
-        Ms1 = np.concatenate([Ms, eye[None]])
-        G1 = np.hstack([GQ, -np.ones((len(h), 1))])
-        c1 = np.zeros(k + 1)
-        c1[k] = -1.0
-        for _ in range(40):
-            zs = center(
-                "phase1", W_u0 + half * eye, Ms1, G1, slack_u0 + half, c1,
-                np.append(z, s), t1, 1e-12,
-            )
-            z, s = zs[:k], float(zs[k])
-            if s < -1e-3:
-                break
-            if nu / t1 < 0.25 * delta:
-                break
-            t1 *= 10.0
-    if not interior and s >= 0.5 * delta:
-        # certified-enough infeasibility of the relaxed program: the
-        # centered minimum of s stayed above delta/2 with a tiny gap
-        return result(
-            "infeasible", float("nan"), u0 + Q @ z, nu / t1, {"phase1_s": s}
-        )
-
-    # phase 2
-    cz = Q.T @ cost
-    t = 1.0
-    for _ in range(40):
-        z = center(
-            "phase2", W_u0 + delta * eye, Ms, GQ, slack_u0 + delta, cz, z, t,
-            1e-10,
-        )
-        if nu / t < tol:
-            break
-        t *= 10.0
-
+    G, h = problem.G, problem.h
+    z, gap, stats = _primal_dual(
+        _mat(m, u0) + DELTA * np.eye(m),
+        np.stack([_mat(m, q) for q in Q.T]),
+        G @ Q, h - G @ u0 + DELTA, Q.T @ cost, tol,
+    )
     u = u0 + Q @ z
     value = float(cost @ u)
-    status = "optimal" if np.isfinite(value) else "numerical_failure"
-    return result(status, value, u, nu / t, _residuals(problem, geom, u))
+    res = _residuals(problem, u)
+    feasible = (
+        np.isfinite(value)
+        and res["max_inequality_violation"] <= DELTA
+        and res["max_equality_violation"] <= DELTA
+        and res["min_eigenvalue"] >= -DELTA
+    )
+    status = "optimal" if feasible else "numerical_failure"
+    return result(status, value, u, gap, res, stats)

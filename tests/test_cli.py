@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON reports."""
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -269,6 +270,49 @@ def test_analyze_has_no_force_flag(capsys):
     assert code == EXIT_PARSE
     assert out == ""
     assert "unrecognized arguments: --force" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "chicken.json", "--seed", "3"],
+        ["extend", "exeqsep.json", "exeqsep_w1.json", "--n", "4", "--seed", "9"],
+        ["extend", "exeqsep.json", "exeqsep_w1.json", "--n", "4", "--tol", "5"],
+        ["minority", "--n-max", "3", "--seed", "3"],
+        ["minority", "--n-max", "3", "--tol", "7"],
+    ],
+)
+def test_flags_no_subcommand_reads_are_gone(capsys, argv):
+    argv = [str(data_path(a)) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
+
+
+def test_analyze_json_has_no_nan_when_the_xe_solve_fails(capsys, monkeypatch):
+    solve = optimize.sdp_solve
+    monkeypatch.setattr(
+        optimize,
+        "sdp_solve",
+        lambda *args, **kwargs: dataclasses.replace(
+            solve(*args, **kwargs), status="numerical_failure"
+        ),
+    )
+    chicken = str(data_path("chicken.json"))
+    code, out, _ = run(capsys, "analyze", chicken, "--json")
+    assert code == EXIT_OK
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert report["max_utility"]["xe_sym"]["value"] is None
+    assert report["max_utility"]["xe_sym"]["exact"] is False
+    assert report["hierarchy"] == {
+        "ce_equals_xe": False,
+        "xe_equals_conv_nash": False,
+    }
 
 
 def test_analyze_strategy_guard_exits_budget(capsys, tmp_path):

@@ -80,3 +80,35 @@ def test_no_unused_parameters():
                 if a.arg not in read
             ]
     assert unused == []
+
+
+def test_no_unused_private_names():
+    # a module-level _name that nothing in the package reads is dead code
+    trees = {path.name: parse(path) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                targets = [node]
+            for target in targets:
+                name = getattr(target, "name", getattr(target, "id", ""))
+                if (
+                    name.startswith("_")
+                    and not name.startswith("__")
+                    and name not in read
+                ):
+                    unused.append(f"{module} {name}")
+    assert unused == []

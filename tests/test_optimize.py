@@ -251,6 +251,20 @@ def test_xe_optimum_reaches_conv_nash(A):
     assert_nested(SymmetricGame(m=3, A=A))
 
 
+def test_xe_optimum_on_a_segment_rounds_at_its_centre():
+    # the XE optimum 2 of this game is attained on a whole segment,
+    # a v v^T + b e2 e2^T with v = (1, 0, 3); an interior-point path that
+    # ends near the segment's analytic centre rounds to the exact member
+    # below, while one that ends elsewhere on the segment rounds to none
+    # or to one with large denominators
+    game = SymmetricGame(m=3, A=[[2, -1, 2], [0, 2, -1], [5, -1, 1]])
+    xe = max_utility(game, XE_SYM)
+    assert xe.exact and xe.value == 2
+    assert xe.argmax == dist(
+        [[F(3, 80), 0, F(9, 80)], [0, F(2, 5), 0], [F(9, 80), 0, F(27, 80)]]
+    )
+
+
 def games_without_best_response_ties():
     # distinct entries in every column: against each pure strategy the best
     # response is unique

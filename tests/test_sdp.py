@@ -283,11 +283,31 @@ def test_implicit_equalities_need_a_bounded_polytope():
         _split_implicit_equalities(system)
 
 
-def test_stats_account_for_every_centering(hidden_state_game):
+def test_stats_report_the_primal_dual_loop(hidden_state_game):
     res = sdp_solve(dnn_ce_problem(hidden_state_game))
     stats = res.stats
+    assert set(stats) == {
+        "k", "iterations", "stop", "mu", "primal_residual", "dual_residual",
+    }
     assert stats["k"] >= 1
-    phases = stats["phase1"], stats["phase2"]
-    assert sum(p["centerings"] for p in phases) == res.iterations
-    assert sum(stats["stops"].values()) == res.iterations
-    assert stats["phase2"]["newton_steps"] >= stats["phase2"]["centerings"]
+    assert stats["iterations"] == res.iterations > 0
+    assert stats["stop"] == "converged"
+    assert res.gap <= 1e-8
+    assert res.gap == pytest.approx(
+        stats["mu"] * (3 + len(dnn_ce_problem(hidden_state_game).h))
+    )
+
+
+def test_psd_empty_segment_is_never_optimal():
+    # W = [[a, 1/2], [1/2, 0]] with 0 <= a <= 1 is never PSD, nor is
+    # W + delta I: the relaxed program is infeasible, and a float method
+    # may only report that it failed
+    system = LinearSystem(
+        num_vars=3,
+        inequalities=[([-1, 0, 0], 0), ([1, 0, 0], 1)],
+        equalities=[([0, 1, 0], F(1, 2)), ([0, 0, 1], 0)],
+    )
+    for C in ([[1, 0], [0, 0]], [[-1, 0], [0, 0]], [[0, 0], [0, 0]]):
+        res = sdp_solve(problem_from_system(2, system, C))
+        assert res.stats["k"] == 1
+        assert res.status == "numerical_failure"
