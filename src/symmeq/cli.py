@@ -133,9 +133,9 @@ def _base_report(args, game):
     }
 
 
-def _print_matrix(P, indent="  "):
+def _print_matrix(P):
     for row in P:
-        print(indent + "[" + ", ".join(str(x) for x in row) + "]")
+        print("  [" + ", ".join(str(x) for x in row) + "]")
 
 
 def cmd_analyze(args):
@@ -167,12 +167,14 @@ def cmd_analyze(args):
     ce = max_utility(game, CE_SYM)
     table[CE_SYM] = {"value": jsonable(ce.value), "exact": True}
     xe = max_utility(game, XE_SYM, tol=args.tol)
+    # a solve that stopped short of tol reports its measured gap instead
+    xe_tol = None if xe.exact else max(args.tol, xe.detail.gap) + 1e-6
     table[XE_SYM] = {
         # a failed solve has no value, and NaN is not JSON
         "value": jsonable(xe.value) if xe.value == xe.value else None,
         "exact": xe.exact,
         "upper_bound_only": xe.upper_bound_only,
-        "tolerance": None if xe.exact else args.tol + 1e-6,
+        "tolerance": xe_tol,
     }
     try:
         cn = max_utility(game, CONV_NASH_SYM, nash=sym)
@@ -216,7 +218,7 @@ def cmd_analyze(args):
             print()
     print("max expected utility:")
     print(f"  ce_sym:        {table[CE_SYM]['value']} (exact)")
-    xe_note = "exact" if xe.exact else f"tolerance {args.tol + 1e-6:g}"
+    xe_note = "exact" if xe.exact else f"tolerance {xe_tol:g}"
     if xe.upper_bound_only:
         xe_note += ", DNN upper bound only"
     print(f"  xe_sym:        {table[XE_SYM]['value']} ({xe_note})")
@@ -236,9 +238,7 @@ def cmd_check(args):
     except ValueError as exc:
         _fail_parse(str(exc))
     try:
-        verdict = membership(
-            game, dist, which, tol=args.tol, seed=args.seed
-        )
+        verdict = membership(game, dist, which, tol=args.tol)
     except BudgetExceededError:
         raise
     except (DimensionError, ValueError) as exc:
@@ -362,7 +362,6 @@ def build_parser():
     )
     common(p)
     tol(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("extend", help="N-exchangeable extendability")

@@ -2,12 +2,13 @@
 
 A symmetric joint distribution is conditionally i.i.d. exactly when it is a
 convex combination of outer products x x^T of mixed strategies.  Necessary
-conditions are checked exactly (asymmetry, the zero-pattern rule, positive
-semidefiniteness); double nonnegativity is also sufficient for m <= 4, while
-for m >= 5 an exact factorization (residual 0) is the only accepted positive
-evidence.
+conditions are checked exactly by `dnn_refutation` (asymmetry, the
+zero-pattern rule, positive semidefiniteness); double nonnegativity is also
+sufficient for m <= DNN_IS_CP_MAX_M, while for larger m an exact
+factorization (residual 0) is the only accepted positive evidence.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,10 @@ from .games import (
 )
 
 RNG_ALGORITHM = "numpy.random.PCG64"
+
+# a doubly nonnegative matrix of order at most 4 is completely positive
+# (Berman & Shaked-Monderer, Completely Positive Matrices, 2003)
+DNN_IS_CP_MAX_M = 4
 
 # the denominator ladder for rounding float solver output to exact
 # candidates, each verified exactly before it is accepted
@@ -123,55 +128,44 @@ class ExchangeabilityVerdict:
         return self.status == CONDITIONALLY_IID
 
 
-def _zero_pattern_witness(P, m):
-    """(t, t_tilde) with P[t][t] = 0 but P[t][t_tilde] > 0, if any.
+def dnn_refutation(W):
+    """The exact certificate that a joint distribution is not doubly
+    nonnegative, hence not conditionally i.i.d., or None when it is.
 
-    A conditionally i.i.d. pair that never repeats t cannot play t at all.
+    Certificate priority: asymmetry, then the zero-pattern rule (a
+    conditionally i.i.d. pair that never repeats t cannot play t at all),
+    then an exact PSD refutation (a direction z with z^T P z < 0).
     """
-    for t in range(m):
-        if P[t][t] == 0:
-            for tt in range(m):
-                if P[t][tt] > 0:
-                    return (t, tt)
-    return None
-
-
-def certify_conditionally_iid(W, tol=DEFAULT_TOL, factorize=True, seed=0):
-    """Decide whether a joint distribution is conditionally i.i.d.
-
-    Certificate priority: asymmetry, then the zero-pattern rule, then an
-    exact PSD refutation.  Doubly nonnegative matrices are conditionally
-    i.i.d. for m <= 4 (a factorization is attached when the numeric search
-    finds one); for m >= 5 only an exact factorization (residual 0) is
-    conclusive, and a float one leaves the verdict Inconclusive.
-    """
-    m = W.m
     P = W.P
     witness = W.asymmetry_witness()
     if witness is not None:
-        return ExchangeabilityVerdict(
-            NOT_CONDITIONALLY_IID, {"kind": "asymmetry", "entry": witness}
-        )
-    zp = _zero_pattern_witness(P, m)
-    if zp is not None:
-        return ExchangeabilityVerdict(
-            NOT_CONDITIONALLY_IID,
-            {"kind": "zero_pattern", "diagonal": zp[0], "off_diagonal": zp[1]},
-        )
+        return {"kind": "asymmetry", "entry": witness}
+    for t, tt in itertools.product(range(W.m), repeat=2):
+        if P[t][t] == 0 and P[t][tt] > 0:
+            return {"kind": "zero_pattern", "diagonal": t, "off_diagonal": tt}
     psd, z = is_psd_exact([list(row) for row in P])
-    if not psd:
-        return ExchangeabilityVerdict(
-            NOT_CONDITIONALLY_IID,
-            {
-                "kind": "negative_direction",
-                "z": z,
-                "value": _quadratic_form(P, z),
-            },
-        )
-    factorization = (
-        cp_factorize(W, tol=tol, seed=seed) if factorize else None
-    )
-    if m <= 4 or (factorization is not None and factorization.exact):
+    if psd:
+        return None
+    value = _quadratic_form(P, z)
+    return {"kind": "negative_direction", "z": z, "value": value}
+
+
+def certify_conditionally_iid(W, tol=DEFAULT_TOL):
+    """Decide whether a joint distribution is conditionally i.i.d.
+
+    Out carries the `dnn_refutation` certificate.  Doubly nonnegative
+    matrices are conditionally i.i.d. for m <= DNN_IS_CP_MAX_M (a
+    factorization is attached when the numeric search finds one); for
+    larger m only an exact factorization (residual 0) is conclusive, and a
+    float one leaves the verdict Inconclusive.
+    """
+    refutation = dnn_refutation(W)
+    if refutation is not None:
+        return ExchangeabilityVerdict(NOT_CONDITIONALLY_IID, refutation)
+    factorization = cp_factorize(W, tol=tol)
+    if W.m <= DNN_IS_CP_MAX_M or (
+        factorization is not None and factorization.exact
+    ):
         cert = {"kind": "doubly_nonnegative"}
         if factorization is not None:
             cert = {"kind": "factorization", "factorization": factorization}
@@ -185,23 +179,26 @@ def certify_conditionally_iid(W, tol=DEFAULT_TOL, factorize=True, seed=0):
     )
 
 
-def cp_factorize(W, tol=DEFAULT_TOL, starts=20, iters=5000, seed=0):
+def cp_factorize(W, tol=DEFAULT_TOL):
     """Search for a completely positive factorization W = B B^T, B >= 0.
 
-    Multi-start projected-gradient descent on ||W - B B^T||_F^2 with a
-    fixed seed schedule, followed by an attempt to rationalize the atoms to
-    small denominators (verified exactly; on success the residual is 0).
+    None at once when `dnn_refutation` refutes W.  Otherwise multi-start
+    projected-gradient descent on ||W - B B^T||_F^2 with a fixed seed
+    schedule, followed by an attempt to rationalize the atoms to small
+    denominators (verified exactly; on success the residual is 0).
     Returns a CPFactorization or None (never a proof of non-membership).
     """
+    if dnn_refutation(W) is not None:
+        return None
     m = W.m
     Wf = np.array([[float(x) for x in row] for row in W.P])
     kmax = m * (m + 1) // 2
     num_rank = int(np.linalg.matrix_rank(Wf, tol=1e-12))
     best = None
     for ncols in range(max(1, num_rank), kmax + 1):
-        for s in range(starts):
-            rng = np.random.default_rng(seed * 7919 + 31 * ncols + s)
-            B = _nmf_descend(Wf, ncols, rng, iters)
+        for s in range(20):
+            rng = np.random.default_rng(31 * ncols + s)
+            B = _nmf_descend(Wf, ncols, rng)
             res = float(np.max(np.abs(Wf - B @ B.T)))
             if best is None or res < best[1]:
                 best = (B, res)
@@ -236,12 +233,12 @@ def _float_residual(W, atoms):
     return float(np.max(np.abs(target - rec)))
 
 
-def _nmf_descend(Wf, k, rng, iters):
+def _nmf_descend(Wf, k, rng):
     m = Wf.shape[0]
     B = rng.random((m, k)) * np.sqrt(max(Wf.max(), 1e-12) / k)
     step = 0.5 / max(np.linalg.norm(Wf) * k, 1e-9)
     prev = None
-    for it in range(iters):
+    for it in range(5000):
         R = B @ B.T - Wf
         G = 4.0 * R @ B
         B2 = np.clip(B - step * G, 0.0, None)
@@ -260,19 +257,19 @@ def _nmf_descend(Wf, k, rng, iters):
     return B
 
 
-def _merge_columns(B, cos_tol=1e-8, drop_tol=1e-10):
+def _merge_columns(B):
     """Combine near-parallel columns (b b^T masses add) and drop negligible
     ones, to help rationalization find the structured factorization."""
     cols = []
     for c in range(B.shape[1]):
         b = np.clip(B[:, c], 0.0, None)
         nrm = np.linalg.norm(b)
-        if nrm <= drop_tol:
+        if nrm <= 1e-10:
             continue
         merged = False
         for i, other in enumerate(cols):
             onrm = np.linalg.norm(other)
-            if onrm > 0 and np.dot(b, other) / (nrm * onrm) > 1 - cos_tol:
+            if onrm > 0 and np.dot(b, other) / (nrm * onrm) > 1 - 1e-8:
                 cols[i] = np.sqrt(onrm**2 + nrm**2) * (
                     (other / onrm + b / nrm) / np.linalg.norm(
                         other / onrm + b / nrm

@@ -26,10 +26,9 @@ class BudgetExceededError(ValueError):
     handles."""
 
 
-def _freeze_matrix(rows, m, n=None):
-    n = m if n is None else n
-    if len(rows) != m or any(len(r) != n for r in rows):
-        raise DimensionError(f"expected {m}x{n} matrix")
+def _freeze_matrix(rows, m):
+    if len(rows) != m or any(len(r) != m for r in rows):
+        raise DimensionError(f"expected {m}x{m} matrix")
     if any(isinstance(x, bool) for r in rows for x in r):
         raise TypeError("matrix entries must be numbers, not true or false")
     return tuple(tuple(frac(x) for x in r) for r in rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .exactlin import ZERO, ONE, mat_vec, solve, frac
 from .games import BudgetExceededError, MixedStrategy, outer
-from .polytope import enumerate_vertices, UnboundedPolytopeError
+from .polytope import enumerate_vertices
 from .simplex import LinearSystem, bound_rows
 
 MAX_STRATEGIES = 6
@@ -98,9 +98,11 @@ def _lift_and_check(game, S, T, yT, v):
     return tuple(y), tie
 
 
-def _basic_solutions(game, S, T, limit=64):
+def _basic_solutions(game, S, T):
     """Vertices of {y >= 0 on T, (Ay)_i = v on S, (Ay)_i <= v off S,
-    sum y = 1} with v rescaled into the unit box.
+    sum y = 1} with v rescaled into the open unit interval (v lies between
+    the least and the greatest payoff), so the polytope is bounded by its
+    own rows and never pinned by the box.
 
     Returns (strictly positive vertex solutions, whether the set is
     nonempty at all)."""
@@ -119,14 +121,12 @@ def _basic_solutions(game, S, T, limit=64):
             eqs.append((coeffs, rhs))
         else:
             ineqs.append((coeffs, rhs))
+    eqs.append(([ONE] * k + [ZERO], ONE))
     ineqs += bound_rows(k + 1, range(k))
     system = LinearSystem(num_vars=k + 1, inequalities=ineqs, equalities=eqs)
-    try:
-        verts = enumerate_vertices(system)
-    except (UnboundedPolytopeError, ValueError):
-        return [], True  # cannot enumerate: stay conservative, flag feasible
+    verts = enumerate_vertices(system)
     sols = []
-    for vert in verts[:limit]:
+    for vert in verts:
         yT = vert[:k]
         if any(val <= 0 for val in yT):
             continue

@@ -4,8 +4,8 @@ Three nested sets are supported for a symmetric game: the symmetric
 correlated equilibria (exact polyhedral checks and LP optimization), the
 exchangeable equilibria (exact membership via conditional-i.i.d.
 certification; optimization via the doubly-nonnegative relaxation, exact in
-meaning only for m <= 4), and the convex hull of symmetric Nash outer
-products (exact LP over the enumerated Nash set).
+meaning only for m <= exchange.DNN_IS_CP_MAX_M), and the convex hull of
+symmetric Nash outer products (exact LP over the enumerated Nash set).
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,10 @@ from .exactlin import ZERO, ONE, ExactCheckError
 from .exchange import (
     CONDITIONALLY_IID,
     DENOMINATORS,
+    DNN_IS_CP_MAX_M,
     NOT_CONDITIONALLY_IID,
     certify_conditionally_iid,
-    is_psd_exact,
+    dnn_refutation,
 )
 from .games import (
     DEFAULT_TOL,
@@ -78,8 +79,9 @@ class UtilityOptimum:
     """Result of maximizing expected utility over one equilibrium set.
 
     `value` is an exact Fraction when `exact` is set, otherwise a float
-    carrying solver tolerance.  `upper_bound_only` marks m >= 5 relaxation
-    values that only bound the true exchangeable optimum from above.
+    carrying solver tolerance.  `upper_bound_only` marks relaxation values
+    past DNN_IS_CP_MAX_M that only bound the true exchangeable optimum from
+    above.
     """
 
     set_name: str
@@ -107,11 +109,11 @@ def _ce_violation(game, W):
     return None
 
 
-def membership(game, W, set_name, tol=DEFAULT_TOL, seed=0):
+def membership(game, W, set_name, tol=DEFAULT_TOL):
     """Exact membership of a joint distribution in one equilibrium set.
 
     Out verdicts always carry a re-verifiable certificate; XE_sym answers
-    are exact for m <= 4 and may be Inconclusive for m >= 5.
+    are exact for m <= DNN_IS_CP_MAX_M and may be Inconclusive beyond.
     """
     which = canonical_set_name(set_name)
     if game.m != W.m:
@@ -132,7 +134,7 @@ def membership(game, W, set_name, tol=DEFAULT_TOL, seed=0):
     if which == XE_SYM:
         if violation is not None:
             return MembershipVerdict(which, OUT, violation)
-        verdict = certify_conditionally_iid(W, tol=tol, seed=seed)
+        verdict = certify_conditionally_iid(W, tol=tol)
         if verdict.status == NOT_CONDITIONALLY_IID:
             return MembershipVerdict(which, OUT, verdict.certificate)
         if verdict.status == CONDITIONALLY_IID:
@@ -199,13 +201,14 @@ def _utility_objective(game, index):
     return obj
 
 
-def _rationalize_argmax(game, M, value, tol=1e-6):
+def _rationalize_argmax(game, M, value):
     """Try to turn the SDP's float argmax into an exact XE member whose
     exact utility explains the solver value.  Returns (JointDistribution,
     Fraction) or None; only exactly re-verified candidates are accepted.
-    For m > 4 it is always None: DNN no longer certifies exchangeability."""
+    Past DNN_IS_CP_MAX_M it is always None: DNN no longer certifies
+    exchangeability."""
     m = game.m
-    if m > 4:
+    if m > DNN_IS_CP_MAX_M:
         return None
     for dmax in DENOMINATORS:
         P = [[ZERO] * m for _ in range(m)]
@@ -222,11 +225,10 @@ def _rationalize_argmax(game, M, value, tol=1e-6):
         W = JointDistribution(m=m, P=P)
         if _ce_violation(game, W) is not None:
             continue
-        psd, _ = is_psd_exact([list(row) for row in P])
-        if not psd:
+        if dnn_refutation(W) is not None:
             continue
         exact_value = expected_utility(game, W)
-        if abs(float(exact_value) - value) <= tol:
+        if abs(float(exact_value) - value) <= 1e-6:
             return W, exact_value
     return None
 
@@ -291,7 +293,7 @@ def max_utility(game, set_name, tol=DEFAULT_TOL, nash=None):
             value=float("nan"),
             argmax=None,
             exact=False,
-            upper_bound_only=game.m > 4,
+            upper_bound_only=game.m > DNN_IS_CP_MAX_M,
             detail=res,
         )
     rationalized = _rationalize_argmax(game, res.matrix, res.value)
@@ -306,7 +308,7 @@ def max_utility(game, set_name, tol=DEFAULT_TOL, nash=None):
             detail=res,
         )
     argmax = None
-    if game.m <= 4:
+    if game.m <= DNN_IS_CP_MAX_M:
         # report the converged matrix as float evidence, unrounded
         argmax = res.matrix
     return UtilityOptimum(
@@ -314,6 +316,6 @@ def max_utility(game, set_name, tol=DEFAULT_TOL, nash=None):
         value=res.value,
         argmax=argmax,
         exact=False,
-        upper_bound_only=game.m > 4,
+        upper_bound_only=game.m > DNN_IS_CP_MAX_M,
         detail=res,
     )

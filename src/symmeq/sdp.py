@@ -164,13 +164,11 @@ def _affine_hull(n, eqs):
     return tuple(u0), Q
 
 
-def dnn_ce_problem(game, objective_matrix=None):
-    """The DNN-cap-symmetric-CE program for a game; default objective is the
-    expected utility."""
-    if objective_matrix is None:
-        objective_matrix = game.A
+def dnn_ce_problem(game):
+    """The DNN-cap-symmetric-CE program for a game, maximizing the expected
+    utility."""
     return problem_from_system(
-        game.m, ce_system(game, symmetric_only=True), objective_matrix
+        game.m, ce_system(game, symmetric_only=True), game.A
     )
 
 

@@ -200,8 +200,8 @@ def _bound_variable(coeffs, rhs):
     return None
 
 
-def lp_solve(system, objective, sense="max"):
-    """Exact optimum of a linear objective over the system's polyhedron.
+def lp_solve(system, objective):
+    """Exact maximum of a linear objective over the system's polyhedron.
 
     Returns an LPResult; infeasible systems carry a verified Farkas
     certificate and unbounded ones the UNBOUNDED status.
@@ -210,8 +210,6 @@ def lp_solve(system, objective, sense="max"):
     objective = [frac(c) for c in objective]
     if len(objective) != n:
         raise ValueError("objective length must equal num_vars")
-    if sense not in ("max", "min"):
-        raise ValueError("sense must be 'max' or 'min'")
 
     bound_row = {}      # variable -> its first bound row
     general = []        # inequality rows that stay rows
@@ -266,8 +264,8 @@ def lp_solve(system, objective, sense="max"):
     for c in range(n_kept, ncols):
         phase1[c] += den1
     ints, den2 = _integer_row(objective)
-    internal = 1 if sense == "min" else -1
-    phase2 = [internal * sign * ints[j] for j, sign in cols]
+    # the tableau minimizes, so phase 2 minimizes minus the objective
+    phase2 = [-sign * ints[j] for j, sign in cols]
     phase2 += [0] * (ncols - n_struct + 1)
     m = len(rows)
     tab = _Tableau(rows + [phase1, phase2], dens + [den1, den2], basis, ncols)

@@ -280,6 +280,7 @@ def test_analyze_has_no_force_flag(capsys):
         ["extend", "exeqsep.json", "exeqsep_w1.json", "--n", "4", "--tol", "5"],
         ["minority", "--n-max", "3", "--seed", "3"],
         ["minority", "--n-max", "3", "--tol", "7"],
+        ["check", "chicken.json", "exeqsep_w1.json", "--set", "xe", "--seed", "3"],
     ],
 )
 def test_flags_no_subcommand_reads_are_gone(capsys, argv):
@@ -313,6 +314,28 @@ def test_analyze_json_has_no_nan_when_the_xe_solve_fails(capsys, monkeypatch):
         "ce_equals_xe": False,
         "xe_equals_conv_nash": False,
     }
+
+
+def test_xe_tolerance_covers_the_measured_gap(capsys, monkeypatch, tmp_path):
+    # a solve may stop optimal with a gap above --tol (e.g. at the step cap)
+    solve = optimize.sdp_solve
+    monkeypatch.setattr(
+        optimize,
+        "sdp_solve",
+        lambda *args, **kwargs: dataclasses.replace(
+            solve(*args, **kwargs), status="optimal", gap=5e-5
+        ),
+    )
+    # a game whose XE optimum does not rationalize
+    game = write_game(tmp_path, [[-5, 5, 2], [5, 4, 3], [3, 5, -3]])
+    code, out, _ = run(capsys, "analyze", game, "--json")
+    assert code == EXIT_OK
+    xe = json.loads(out)["max_utility"]["xe_sym"]
+    assert xe["exact"] is False
+    assert xe["tolerance"] >= 5e-5
+    code, out, _ = run(capsys, "analyze", game)
+    note = out.split("xe_sym:")[1].splitlines()[0]
+    assert float(note.split("tolerance ")[1].split(")")[0]) >= 5e-5
 
 
 def test_analyze_strategy_guard_exits_budget(capsys, tmp_path):
@@ -386,6 +409,37 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert code == EXIT_PARSE
     assert out == ""
     assert "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check", "chicken.json", "exeqsep_w1.json", "--set", "ce"],
+            "dimensions differ",
+        ),
+        (
+            ["extend", "chicken.json", "exeqsep_w1.json", "--n", "3"],
+            "dimensions differ",
+        ),
+        (
+            ["extend", "minority.json", "asymmetric", "--n", "3"],
+            "needs a symmetric distribution",
+        ),
+        (["minority", "--n-max", "1"], "--n-max must be at least 2"),
+    ],
+)
+def test_inconsistent_inputs_are_parse_errors(capsys, tmp_path, argv, message):
+    files = {"asymmetric": write_dist(tmp_path, [["1/2", "1/4"], [0, "1/4"]])}
+    argv = [
+        str(data_path(a)) if a.endswith(".json") else files.get(a, a)
+        for a in argv
+    ]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("n", ["1", "0"])

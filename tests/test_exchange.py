@@ -28,7 +28,7 @@ from symmeq import (
 )
 from symmeq.exactlin import det
 from symmeq.exchange import _quadratic_form
-from symmeq.exchange import INCONCLUSIVE
+from symmeq.exchange import INCONCLUSIVE, dnn_refutation
 from symmeq.games import deviation_gains, mixture
 
 from conftest import random_rational_game
@@ -224,8 +224,7 @@ def test_random_mixtures_are_conditionally_iid(rng):
                 for j in range(m):
                     P[i][j] += w * x[i] * x[j]
         W = JointDistribution(m=m, P=P)
-        v = certify_conditionally_iid(W, factorize=False)
-        assert v.status == "conditionally_iid", (m, P)
+        assert dnn_refutation(W) is None, (m, P)
 
 
 def test_factorization_of_known_exchangeable_point():
@@ -279,7 +278,7 @@ def test_factorize_rank_one():
 def test_factorize_never_claims_the_impossible():
     # not PSD, so no CP factorization can be found (and none is claimed)
     W = JointDistribution(m=2, P=[[0, F(1, 2)], [F(1, 2), 0]])
-    assert cp_factorize(W, iters=500, starts=4) is None
+    assert cp_factorize(W) is None
 
 
 def test_scheme_round_trip_and_equilibrium(utility_gap_game):

@@ -112,3 +112,44 @@ def test_no_unused_private_names():
                 ):
                     unused.append(f"{module} {name}")
     assert unused == []
+
+
+def test_private_defaults_are_passed():
+    # a default that no call overrides is a constant dressed as an option
+    trees = [parse(path) for path in MODULES]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    never = []
+    for path, tree in zip(MODULES, trees):
+        for node in tree.body:
+            if not (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [
+                (positional.index(a), a.arg)
+                for a in positional[len(positional) - len(args.defaults):]
+            ]
+            defaulted += [
+                (None, a.arg)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
+            ]
+            for pos, name in defaulted:
+                if not any(
+                    any(kw.arg in (name, None) for kw in call.keywords)
+                    or (pos is not None and len(call.args) > pos)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    for call in calls.get(node.name, ())
+                ):
+                    never.append(f"{path.name} {node.name} {name}")
+    assert never == []

@@ -1,5 +1,6 @@
 """Support-enumeration Nash solver."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -13,12 +14,14 @@ from symmeq import (
     ce_system,
     enumerate_nash,
     enumerate_symmetric_nash,
+    max_utility,
     outer,
     rational_exchangeable_point,
     verify_nash,
 )
 from symmeq import nash as nash_module
 from symmeq.polytope import SymCEIndex
+from symmeq.simplex import LinearSystem, bound_rows, lp_solve
 
 from conftest import random_rational_game
 
@@ -117,6 +120,58 @@ def test_zero_game_is_degenerate():
     enum = enumerate_nash(g)
     assert enum.degenerate
     assert enum.sym_degenerate
+
+
+def test_infeasible_indifference_set_is_not_degenerate():
+    # rows 1 and 2 agree on columns 1 and 2, so the pair ({1, 2}, {1, 2})
+    # is underdetermined, but row 0 beats both on every y there
+    g = SymmetricGame(m=3, A=[[1, 4, -2], [-4, 2, -4], [-5, 2, -4]])
+    enum = enumerate_nash(g)
+    assert not enum.degenerate and not enum.sym_degenerate
+    assert sym_strategies(g) == {(1, 0, 0)}
+    assert max_utility(g, "conv_nash").value == 1
+
+
+def test_underdetermined_pair_yields_its_nash_point():
+    # y = (1/2, 0, 1/2) makes every row pay -1
+    g = SymmetricGame(m=3, A=[[2, -1, -4], [3, 4, -5], [2, -3, -4]])
+    enum = enumerate_nash(g)
+    assert enum.sym_degenerate
+    assert len(enum.points) == 3
+    assert all(verify_nash(g, pt.x, pt.y) for pt in enum.points)
+    assert (F(1, 2), 0, F(1, 2)) in sym_strategies(g)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_basic_solutions_feasibility_matches_an_exact_lp(m):
+    # the same set, with v free: y >= 0 on T, sum y = 1, (Ay)_i = v on S,
+    # (Ay)_i <= v off S
+    supports = [
+        s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)
+    ]
+    rng = random.Random(5)
+    flagged = []
+    for _ in range(40):
+        game = random_rational_game(rng, m, -2, 2)
+        for S, T in itertools.product(supports, repeat=2):
+            if len(S) != len(T):
+                continue
+            k = len(T)
+            rows = [([game.A[i][j] for j in T] + [-1], 0) for i in range(m)]
+            system = LinearSystem(
+                num_vars=k + 1,
+                inequalities=[r for i, r in enumerate(rows) if i not in S]
+                + bound_rows(k + 1, range(k)),
+                equalities=[r for i, r in enumerate(rows) if i in S]
+                + [([1] * k + [0], 1)],
+            )
+            feasible = lp_solve(system, [0] * (k + 1)).status == "optimal"
+            sols, flag = nash_module._basic_solutions(game, S, T)
+            assert flag == feasible, (game.A, S, T)
+            flagged.append(flag)
+            for y, _ in sols:
+                assert sum(y) == 1 and all(y[j] > 0 for j in T)
+    assert any(flagged) and not all(flagged)
 
 
 def test_dimension_guard():

@@ -263,10 +263,10 @@ def coordinatewise_unique(system):
     for a in range(n):
         obj = [F(0)] * n
         obj[a] = F(1)
-        lo = lp_solve(system, obj, sense="min")
-        hi = lp_solve(system, obj, sense="max")
+        lo = lp_solve(system, [-c for c in obj])
+        hi = lp_solve(system, obj)
         assert lo.status == hi.status == "optimal"
-        if lo.optimum != hi.optimum:
+        if -lo.optimum != hi.optimum:
             return False
     return True
 

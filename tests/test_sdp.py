@@ -115,12 +115,17 @@ def test_chicken_utility_maximum(chicken):
 def test_trace_maximum(chicken, coordination):
     # chicken: every CE vertex has trace at most 1/2 (attained at uniform),
     # so the trace maximum over the whole polytope is 1/2
-    res = sdp_solve(dnn_ce_problem(chicken, objective_matrix=[[1, 0], [0, 1]]))
+    trace = [[1, 0], [0, 1]]
+    res = sdp_solve(
+        problem_from_system(2, ce_system(chicken, symmetric_only=True), trace)
+    )
     assert res.status == "optimal"
     assert abs(res.value - 0.5) < 1e-6
     # coordination: a pure Nash outer product has trace 1, the cap
     res = sdp_solve(
-        dnn_ce_problem(coordination, objective_matrix=[[1, 0], [0, 1]])
+        problem_from_system(
+            2, ce_system(coordination, symmetric_only=True), trace
+        )
     )
     assert res.status == "optimal"
     assert abs(res.value - 1.0) < 1e-6
@@ -142,7 +147,8 @@ def test_utility_gap_game_value(utility_gap_game):
 
 def test_linear_functional_against_mixture_search(hidden_state_game):
     C = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
-    res = sdp_solve(dnn_ce_problem(hidden_state_game, objective_matrix=C))
+    system = ce_system(hidden_state_game, symmetric_only=True)
+    res = sdp_solve(problem_from_system(3, system, C))
     assert res.status == "optimal"
     oracle = mixture_oracle(hidden_state_game, lambda W: W[2][2])
     assert abs(res.value - oracle) < 1e-4

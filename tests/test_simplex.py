@@ -37,9 +37,10 @@ def test_min_sense():
     system = LinearSystem(
         num_vars=1, inequalities=[([1], 3), ([-1], 2)]
     )
-    res = lp_solve(system, [1], sense="min")
+    # min x is minus max -x
+    res = lp_solve(system, [-1])
     assert res.status == "optimal"
-    assert res.optimum == -2
+    assert -res.optimum == -2
 
 
 def test_equalities_and_free_variables():
