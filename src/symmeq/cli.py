@@ -238,7 +238,7 @@ def cmd_check(args):
     except ValueError as exc:
         _fail_parse(str(exc))
     try:
-        verdict = membership(game, dist, which, tol=args.tol)
+        verdict = membership(game, dist, which)
     except BudgetExceededError:
         raise
     except (DimensionError, ValueError) as exc:
@@ -343,13 +343,10 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
 
-    def tol(p):
-        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-
     p = sub.add_parser("analyze", help="full report on a game file")
     p.add_argument("game_file")
     common(p)
-    tol(p)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="membership of a distribution")
@@ -361,7 +358,6 @@ def build_parser():
         help="equilibrium set: ce, xe, or conv-nash",
     )
     common(p)
-    tol(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("extend", help="N-exchangeable extendability")

@@ -3,20 +3,20 @@
 A symmetric joint distribution is conditionally i.i.d. exactly when it is a
 convex combination of outer products x x^T of mixed strategies.  Necessary
 conditions are checked exactly by `dnn_refutation` (asymmetry, the
-zero-pattern rule, positive semidefiniteness); double nonnegativity is also
-sufficient for m <= DNN_IS_CP_MAX_M, while for larger m an exact
-factorization (residual 0) is the only accepted positive evidence.
+zero-pattern rule, positive semidefiniteness).  Positive evidence is an
+exact factorization, which `cp_factorize` builds for every completely
+positive matrix of rank at most 2, at any m; at higher rank, double
+nonnegativity is also sufficient for m <= DNN_IS_CP_MAX_M, and beyond it
+the verdict is Inconclusive.
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import ZERO, ONE, ExactCheckError, frac
+from .exactlin import ZERO, ONE, ExactCheckError, frac, rank, solve
 from .games import (
-    DEFAULT_TOL,
     BudgetExceededError,
     JointDistribution,
     MixedStrategy,
@@ -29,10 +29,6 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 # a doubly nonnegative matrix of order at most 4 is completely positive
 # (Berman & Shaked-Monderer, Completely Positive Matrices, 2003)
 DNN_IS_CP_MAX_M = 4
-
-# the denominator ladder for rounding float solver output to exact
-# candidates, each verified exactly before it is accepted
-DENOMINATORS = (8, 16, 64, 512, 4096, 10**6)
 
 CONDITIONALLY_IID = "conditionally_iid"
 NOT_CONDITIONALLY_IID = "not_conditionally_iid"
@@ -99,21 +95,22 @@ def _quadratic_form(W, z):
 
 @dataclass(frozen=True)
 class CPFactorization:
-    """Weights and mixed strategies witnessing W = sum_i lam_i x_i x_i^T.
+    """Weights and mixed strategies witnessing W = sum_i lam_i x_i x_i^T
+    exactly.
 
-    residual is the max-abs reconstruction error; exact rational
-    factorizations have residual 0.
+    residual, the reconstruction error, is always 0; it stays a field for
+    the `check --json` certificate schema.
     """
 
     atoms: tuple  # of (weight, MixedStrategy)
-    residual: float
+    residual: float = 0.0
 
     @property
     def exact(self):
         return self.residual == 0
 
     def reconstruct(self):
-        """The distribution sum_i lam_i x_i x_i^T (exact when possible)."""
+        """The distribution sum_i lam_i x_i x_i^T."""
         m = self.atoms[0][1].m
         return mixture(m, [(lam, x.x) for lam, x in self.atoms])
 
@@ -150,25 +147,24 @@ def dnn_refutation(W):
     return {"kind": "negative_direction", "z": z, "value": value}
 
 
-def certify_conditionally_iid(W, tol=DEFAULT_TOL):
+def certify_conditionally_iid(W):
     """Decide whether a joint distribution is conditionally i.i.d.
 
-    Out carries the `dnn_refutation` certificate.  Doubly nonnegative
-    matrices are conditionally i.i.d. for m <= DNN_IS_CP_MAX_M (a
-    factorization is attached when the numeric search finds one); for
-    larger m only an exact factorization (residual 0) is conclusive, and a
-    float one leaves the verdict Inconclusive.
+    Out carries the `dnn_refutation` certificate.  A doubly nonnegative
+    matrix is In with the exact factorization from `cp_factorize` when its
+    rank is at most 2, at any m; otherwise it is In for m <=
+    DNN_IS_CP_MAX_M, where doubly nonnegative means completely positive,
+    and Inconclusive beyond.
     """
     refutation = dnn_refutation(W)
     if refutation is not None:
         return ExchangeabilityVerdict(NOT_CONDITIONALLY_IID, refutation)
-    factorization = cp_factorize(W, tol=tol)
-    if W.m <= DNN_IS_CP_MAX_M or (
-        factorization is not None and factorization.exact
-    ):
+    factorization = cp_factorize(W)
+    if factorization is not None:
+        cert = {"kind": "factorization", "factorization": factorization}
+        return ExchangeabilityVerdict(CONDITIONALLY_IID, cert)
+    if W.m <= DNN_IS_CP_MAX_M:
         cert = {"kind": "doubly_nonnegative"}
-        if factorization is not None:
-            cert = {"kind": "factorization", "factorization": factorization}
         return ExchangeabilityVerdict(CONDITIONALLY_IID, cert)
     return ExchangeabilityVerdict(
         INCONCLUSIVE,
@@ -179,153 +175,72 @@ def certify_conditionally_iid(W, tol=DEFAULT_TOL):
     )
 
 
-def cp_factorize(W, tol=DEFAULT_TOL):
-    """Search for a completely positive factorization W = B B^T, B >= 0.
+def cp_factorize(W):
+    """The exact factorization W = sum_i lam_i x_i x_i^T of a symmetric
+    joint distribution of rank at most 2, or None.
 
-    None at once when `dnn_refutation` refutes W.  Otherwise multi-start
-    projected-gradient descent on ||W - B B^T||_F^2 with a fixed seed
-    schedule, followed by an attempt to rationalize the atoms to small
-    denominators (verified exactly; on success the residual is 0).
-    Returns a CPFactorization or None (never a proof of non-membership).
+    Rank 1 is the one atom W's normalised nonzero column.  At rank 2, W's
+    columns span a plane whose nonnegative part is a cone with two extreme
+    rays u, v, each ±(b2_i b1 - b1_i b2) for a basis b1, b2 of the plane;
+    W = [u v] M [u v]^T with M = [[a, c], [c, b]], and W is completely
+    positive iff M is doubly nonnegative (Berman & Shaked-Monderer,
+    Completely Positive Matrices, 2003), when M splits into the atoms u and
+    c u + b v.  None means W is asymmetric, not completely positive, or of
+    rank 3 or more; the factorization returned is re-checked exactly.
     """
-    if dnn_refutation(W) is not None:
+    if not W.symmetric:
         return None
-    m = W.m
-    Wf = np.array([[float(x) for x in row] for row in W.P])
-    kmax = m * (m + 1) // 2
-    num_rank = int(np.linalg.matrix_rank(Wf, tol=1e-12))
-    best = None
-    for ncols in range(max(1, num_rank), kmax + 1):
-        for s in range(20):
-            rng = np.random.default_rng(31 * ncols + s)
-            B = _nmf_descend(Wf, ncols, rng)
-            res = float(np.max(np.abs(Wf - B @ B.T)))
-            if best is None or res < best[1]:
-                best = (B, res)
-            if res <= tol * 1e-3:
-                break
-        if best is not None and best[1] <= tol * 1e-3:
-            break
-    if best is None or best[1] > tol:
+    P = [list(row) for row in W.P]
+    r = rank(P)
+    if r == 1:
+        atoms = [(ONE, _normalised(next(c for c in P if any(c))))]
+    elif r == 2:
+        atoms = _rank_two_atoms(P)
+        if atoms is None:
+            return None
+    else:
         return None
-    B = _merge_columns(best[0])
-    raw = _float_atoms(B)
-    fact = _rationalize(W, raw)
-    if fact is not None:
-        return fact
-    atoms = [(w, MixedStrategy(m=m, x=_simplex_round(x))) for w, x in raw]
-    res = _float_residual(W, atoms)
-    if res > tol:
+    if any(lam <= 0 for lam, _ in atoms) or mixture(W.m, atoms) != P:
+        raise ExactCheckError("factorization does not reproduce W")
+    return CPFactorization(
+        atoms=tuple((lam, MixedStrategy(m=W.m, x=x)) for lam, x in atoms)
+    )
+
+
+def _normalised(y):
+    total = sum(y, ZERO)
+    return tuple(t / total for t in y)
+
+
+def _rank_two_atoms(P):
+    """The two atoms (weight, x) of a rank-2 completely positive P, or
+    None when P is not completely positive."""
+    m = len(P)
+    b1 = next(c for c in P if any(c))
+    b2 = next(c for c in P if rank([b1, c]) == 2)
+    rays = []
+    for i in range(m):
+        for sign in (1, -1):
+            y = [sign * (b2[i] * s - b1[i] * t) for s, t in zip(b1, b2)]
+            if any(y) and min(y) >= 0:
+                x = _normalised(y)
+                if x not in rays:
+                    rays.append(x)
+    if len(rays) != 2:
         return None
-    return CPFactorization(atoms=tuple(atoms), residual=res)
-
-
-def _simplex_round(x):
-    v = [Fraction(float(t)).limit_denominator(10**12) for t in x]
-    total = sum(v, ZERO)
-    return tuple(t / total for t in v)
-
-
-def _float_residual(W, atoms):
-    float_atoms = [(float(lam), [float(t) for t in x.x]) for lam, x in atoms]
-    rec = np.array(mixture(W.m, float_atoms))
-    target = np.array([[float(t) for t in row] for row in W.P])
-    return float(np.max(np.abs(target - rec)))
-
-
-def _nmf_descend(Wf, k, rng):
-    m = Wf.shape[0]
-    B = rng.random((m, k)) * np.sqrt(max(Wf.max(), 1e-12) / k)
-    step = 0.5 / max(np.linalg.norm(Wf) * k, 1e-9)
-    prev = None
-    for it in range(5000):
-        R = B @ B.T - Wf
-        G = 4.0 * R @ B
-        B2 = np.clip(B - step * G, 0.0, None)
-        f2 = float(np.linalg.norm(B2 @ B2.T - Wf) ** 2)
-        if prev is not None and f2 > prev:
-            step *= 0.5
-            if step < 1e-16:
-                break
-            continue
-        if prev is not None and prev - f2 < 1e-22 and it > 50:
-            B = B2
-            break
-        B = B2
-        prev = f2
-        step *= 1.05
-    return B
-
-
-def _merge_columns(B):
-    """Combine near-parallel columns (b b^T masses add) and drop negligible
-    ones, to help rationalization find the structured factorization."""
-    cols = []
-    for c in range(B.shape[1]):
-        b = np.clip(B[:, c], 0.0, None)
-        nrm = np.linalg.norm(b)
-        if nrm <= 1e-10:
-            continue
-        merged = False
-        for i, other in enumerate(cols):
-            onrm = np.linalg.norm(other)
-            if onrm > 0 and np.dot(b, other) / (nrm * onrm) > 1 - 1e-8:
-                cols[i] = np.sqrt(onrm**2 + nrm**2) * (
-                    (other / onrm + b / nrm) / np.linalg.norm(
-                        other / onrm + b / nrm
-                    )
-                )
-                merged = True
-                break
-        if not merged:
-            cols.append(b)
-    return np.stack(cols, axis=1)
-
-
-def _float_atoms(B):
-    """The columns b of a nonnegative factor B as float atoms (w, x) with
-    x = b / sum(b) on the simplex and w proportional to sum(b)^2, so that
-    sum_i w_i x_i x_i^T is B B^T over its total mass."""
-    raw = []
-    for c in range(B.shape[1]):
-        col = np.clip(B[:, c], 0.0, None)
-        total = col.sum()
-        if total < 1e-12:
-            continue
-        raw.append((total * total, col / total))
-    wsum = sum(w for w, _ in raw)
-    return [(w / wsum, x) for w, x in raw]
-
-
-def _rationalize(W, raw):
-    """Try to turn numeric float atoms into an exact rational
-    factorization of W."""
-    m = W.m
-    for den in DENOMINATORS:
-        try:
-            atoms = []
-            for w, x in raw:
-                lam = Fraction(float(w)).limit_denominator(den)
-                xs = [Fraction(float(t)).limit_denominator(den) for t in x]
-                total = sum(xs, ZERO)
-                if lam <= 0 or total == 0:
-                    raise ValueError
-                atoms.append((lam, tuple(t / total for t in xs)))
-            lam_total = sum((lam for lam, _ in atoms), ZERO)
-            atoms = [(lam / lam_total, x) for lam, x in atoms]
-            rec = mixture(m, atoms)
-            if all(
-                rec[i][j] == W.P[i][j] for i in range(m) for j in range(m)
-            ):
-                return CPFactorization(
-                    atoms=tuple(
-                        (lam, MixedStrategy(m=m, x=x)) for lam, x in atoms
-                    ),
-                    residual=0.0,
-                )
-        except (ValueError, ZeroDivisionError):
-            continue
-    return None
+    u, v = rays
+    rows = [
+        [u[i] * u[j], u[i] * v[j] + v[i] * u[j], v[i] * v[j]]
+        for i in range(m)
+        for j in range(i, m)
+    ]
+    a, c, b = solve(rows, [P[i][j] for i in range(m) for j in range(i, m)])[0]
+    if min(a, b, c) < 0 or a * b < c * c:
+        return None
+    # M = (a - c^2/b) e1 e1^T + (1/b) (c, b)(c, b)^T, and c u + b v sums to
+    # c + b, so its atom weighs (c + b)^2 / b
+    w = [c * s + b * t for s, t in zip(u, v)]
+    return [(a - c * c / b, u), ((c + b) ** 2 / b, _normalised(w))]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .exactlin import ZERO, ONE, frac
 
-# the one default numerical tolerance of the float-guided solvers (the SDP
-# duality gap, CP factorisation) and of the CLI's --tol
+# the one default numerical tolerance: the SDP duality gap, and the CLI's
+# --tol
 DEFAULT_TOL = 1e-8
 
 

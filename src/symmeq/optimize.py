@@ -14,7 +14,6 @@ from fractions import Fraction
 from .exactlin import ZERO, ONE, ExactCheckError
 from .exchange import (
     CONDITIONALLY_IID,
-    DENOMINATORS,
     DNN_IS_CP_MAX_M,
     NOT_CONDITIONALLY_IID,
     certify_conditionally_iid,
@@ -35,6 +34,10 @@ from .simplex import LinearSystem, bound_rows, lp_solve, require_infeasible
 CE_SYM = "ce_sym"
 XE_SYM = "xe_sym"
 CONV_NASH_SYM = "conv_nash_sym"
+
+# the denominator ladder for rounding the SDP's float argmax to exact
+# candidates, each verified exactly before it is accepted
+DENOMINATORS = (8, 16, 64, 512, 4096, 10**6)
 
 IN = "In"
 OUT = "Out"
@@ -109,11 +112,12 @@ def _ce_violation(game, W):
     return None
 
 
-def membership(game, W, set_name, tol=DEFAULT_TOL):
+def membership(game, W, set_name):
     """Exact membership of a joint distribution in one equilibrium set.
 
     Out verdicts always carry a re-verifiable certificate; XE_sym answers
-    are exact for m <= DNN_IS_CP_MAX_M and may be Inconclusive beyond.
+    are exact for m <= DNN_IS_CP_MAX_M and at rank at most 2, and may be
+    Inconclusive beyond.
     """
     which = canonical_set_name(set_name)
     if game.m != W.m:
@@ -134,7 +138,7 @@ def membership(game, W, set_name, tol=DEFAULT_TOL):
     if which == XE_SYM:
         if violation is not None:
             return MembershipVerdict(which, OUT, violation)
-        verdict = certify_conditionally_iid(W, tol=tol)
+        verdict = certify_conditionally_iid(W)
         if verdict.status == NOT_CONDITIONALLY_IID:
             return MembershipVerdict(which, OUT, verdict.certificate)
         if verdict.status == CONDITIONALLY_IID:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from symmeq import ExactCheckError, JointDistribution, OrbitDistribution
-from symmeq import nash, optimize
+from symmeq import exchange, nash, optimize
 from symmeq.cli import (
     EXIT_BUDGET,
     EXIT_INCONCLUSIVE,
@@ -103,21 +103,37 @@ def test_analyze_json(capsys):
     assert len(report["ce_sym_vertices"]) >= 3
 
 
-def test_analyze_enumerates_nash_once(capsys, monkeypatch):
-    # the report, the XE start and conv-Nash share one enumeration
+def count_calls(monkeypatch, original):
+    """Rebind every symmeq name for `original` to a wrapper that records
+    its calls; returns the list of recorded argument tuples."""
     calls = []
-    original = nash.enumerate_nash
 
-    def counted(game):
-        calls.append(game)
-        return original(game)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "symmeq" or name.startswith("symmeq."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_analyze_enumerates_nash_once(capsys, monkeypatch):
+    # the report, the XE start and conv-Nash share one enumeration
+    calls = count_calls(monkeypatch, nash.enumerate_nash)
     code, _, _ = run(capsys, "analyze", str(data_path("payoffsep.json")))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_check_xe_decides_psd_once(capsys, monkeypatch):
+    # the DNN refutation runs the exact PSD decision; the factorization
+    # that follows needs none
+    calls = count_calls(monkeypatch, exchange.is_psd_exact)
+    game, dist = data_path("exeqsep.json"), data_path("exeqsep_w2.json")
+    code, _, _ = run(capsys, "check", str(game), str(dist), "--set", "xe")
     assert code == EXIT_OK
     assert len(calls) == 1
 
@@ -281,6 +297,7 @@ def test_analyze_has_no_force_flag(capsys):
         ["minority", "--n-max", "3", "--seed", "3"],
         ["minority", "--n-max", "3", "--tol", "7"],
         ["check", "chicken.json", "exeqsep_w1.json", "--set", "xe", "--seed", "3"],
+        ["check", "exeqsep.json", "exeqsep_w2.json", "--set", "xe", "--tol", "1e-6"],
     ],
 )
 def test_flags_no_subcommand_reads_are_gone(capsys, argv):
@@ -400,11 +417,9 @@ def test_wrong_json_types_are_parse_errors(capsys, tmp_path, game, dist):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
-@pytest.mark.parametrize("command", ["analyze", "check"])
+@pytest.mark.parametrize("command", ["analyze"])
 def test_tol_must_be_finite_and_positive(capsys, command, tol):
     argv = [command, str(data_path("chicken.json"))]
-    if command == "check":
-        argv += [str(data_path("exeqsep_w1.json")), "--set", "ce"]
     code, out, err = run(capsys, *argv, "--tol", tol, "--json")
     assert code == EXIT_PARSE
     assert out == ""

@@ -5,10 +5,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symmeq
 from symmeq import (
@@ -26,9 +29,9 @@ from symmeq import (
     uniform_distribution,
     verify_scheme_equilibrium,
 )
-from symmeq.exactlin import det
+from symmeq.exactlin import det, rank
 from symmeq.exchange import _quadratic_form
-from symmeq.exchange import INCONCLUSIVE, dnn_refutation
+from symmeq.exchange import CONDITIONALLY_IID, INCONCLUSIVE, dnn_refutation
 from symmeq.games import deviation_gains, mixture
 
 from conftest import random_rational_game
@@ -357,17 +360,116 @@ raise SystemExit(1)
 
 
 def test_float_factorization_does_not_decide_in_at_m5():
-    # the atoms' denominators lie beyond the rationalization ladder, so
-    # cp_factorize can only return a float factorization, which at m >= 5
-    # must not certify membership
+    # no float result decides In at m >= 5: a rank-2 mixture whose atoms'
+    # denominators are near 10^6 factors exactly, and a rank-3 mixture,
+    # for which no exact factorization is built, stays Inconclusive
     x1 = [F(n, 1000003) for n in (200000, 300001, 100000, 250000, 150002)]
     x2 = [F(n, 1000033) for n in (100003, 200010, 300000, 150010, 250010)]
     W = JointDistribution(m=5, P=mixture(5, [(F(1, 3), x1), (F(2, 3), x2)]))
     fact = cp_factorize(W)
-    assert fact is not None and not fact.exact
+    assert fact is not None and fact.exact
+    assert tuple(map(tuple, fact.reconstruct())) == W.P
     v = certify_conditionally_iid(W)
+    assert v.status == CONDITIONALLY_IID
+    assert v.certificate["kind"] == "factorization"
+
+    atoms = [
+        (F(1, 3), [F(1, 2), F(1, 2), 0, 0, 0]),
+        (F(1, 3), [0, F(1, 3), F(1, 3), F(1, 3), 0]),
+        (F(1, 3), [F(1, 4), 0, 0, F(1, 4), F(1, 2)]),
+    ]
+    W = JointDistribution(m=5, P=mixture(5, atoms))
+    assert rank([list(row) for row in W.P]) == 3
+    start = time.perf_counter()
+    v = certify_conditionally_iid(W)
+    assert time.perf_counter() - start < 0.1
     assert v.status == INCONCLUSIVE
     assert v.certificate["kind"] == "dnn_only"
+
+
+def _dnn_mixtures():
+    """Seeded symmetric mixtures of one or two outer products at m = 2-7:
+    (m, atoms) with positive weights summing to 1."""
+
+    def strategy(m):
+        return st.lists(
+            st.integers(0, 6), min_size=m, max_size=m
+        ).filter(any).map(lambda raw: [F(v, sum(raw)) for v in raw])
+
+    def mixtures(m):
+        return st.tuples(
+            st.integers(1, 9), st.integers(0, 9), strategy(m), strategy(m)
+        ).map(
+            lambda t: (
+                m,
+                [(F(t[0], t[0] + t[1]), t[2]), (F(t[1], t[0] + t[1]), t[3])],
+            )
+        )
+
+    return st.integers(2, 7).flatmap(mixtures)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_dnn_mixtures())
+def test_rank_two_mixtures_factor_exactly(case):
+    m, atoms = case
+    W = JointDistribution(m=m, P=mixture(m, atoms))
+    fact = cp_factorize(W)
+    assert fact is not None and fact.exact and fact.residual == 0
+    assert 1 <= len(fact.atoms) <= 2
+    weights = [lam for lam, _ in fact.atoms]
+    assert all(lam > 0 for lam in weights) and sum(weights) == 1
+    for _, x in fact.atoms:
+        assert min(x.x) >= 0 and sum(x.x) == 1
+    assert tuple(map(tuple, fact.reconstruct())) == W.P
+    assert certify_conditionally_iid(W).certificate["kind"] == "factorization"
+
+
+def test_rank_two_zero_pattern_does_not_factor():
+    # rank 2 and nonnegative, with P[0][0] = 0 < P[0][1], so not PSD
+    P = [[F(n, 12) for n in row] for row in [[0, 1, 1], [1, 1, 2], [1, 2, 3]]]
+    W = JointDistribution(m=3, P=P)
+    assert rank(P) == 2
+    assert dnn_refutation(W)["kind"] == "zero_pattern"
+    assert cp_factorize(W) is None
+
+
+def test_rank_two_factors_exactly_when_doubly_nonnegative(rng):
+    # at rank 2, completely positive and doubly nonnegative coincide: draw
+    # nonnegative W = U M U^T with U and M of mixed signs
+    seen = set()
+    for _ in range(400):
+        m = rng.randint(2, 6)
+        U = [[rng.randint(-2, 4) for _ in range(2)] for _ in range(m)]
+        a, b, c = rng.randint(-2, 4), rng.randint(-2, 4), rng.randint(-3, 3)
+        P = [
+            [
+                a * U[i][0] * U[j][0]
+                + c * (U[i][0] * U[j][1] + U[i][1] * U[j][0])
+                + b * U[i][1] * U[j][1]
+                for j in range(m)
+            ]
+            for i in range(m)
+        ]
+        if min(map(min, P)) < 0 or rank(P) != 2:
+            continue
+        total = sum(map(sum, P))
+        W = JointDistribution(m=m, P=[[F(x, total) for x in r] for r in P])
+        dnn = dnn_refutation(W) is None
+        assert (cp_factorize(W) is not None) == dnn, P
+        seen.add(dnn)
+    assert seen == {True, False}
+
+
+def test_asymmetric_matrices_do_not_factor():
+    W = JointDistribution(m=2, P=[[F(1, 2), F(1, 2)], [0, 0]])
+    assert cp_factorize(W) is None
+
+
+def test_failed_reconstruction_raises(monkeypatch):
+    monkeypatch.setattr(symmeq.exchange, "mixture", lambda m, atoms: None)
+    with pytest.raises(ExactCheckError):
+        cp_factorize(uniform_distribution(3))
 
 
 def _random_scheme(rng, m):

@@ -153,3 +153,55 @@ def test_private_defaults_are_passed():
                 ):
                     never.append(f"{path.name} {node.name} {name}")
     assert never == []
+
+
+# the only randomness in the package: the samplers that check an exact
+# result empirically (a correlation scheme's recommendations against its
+# exact deviation gains, sealed envelopes against an orbit's marginal)
+RNG_ALLOWED = {
+    "exchange.py CorrelationScheme.sample",
+    "exchange.py verify_scheme_equilibrium",
+    "orbits.py envelope_simulate",
+}
+
+
+def is_rng(node):
+    """Whether an AST node imports, names or draws from a random number
+    generator (`random`, `numpy.random`, `default_rng`, `rng.random`)."""
+    if isinstance(node, ast.Import):
+        return any(
+            alias.name.split(".")[0] == "random" or alias.name == "numpy.random"
+            for alias in node.names
+        )
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("random", "numpy.random") or any(
+            alias.name in ("random", "default_rng") for alias in node.names
+        )
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("random", "default_rng")
+    return isinstance(node, ast.Name) and node.id == "default_rng"
+
+
+def rng_uses(node, scope=""):
+    """(enclosing def or class, line) of every random number generator
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if is_rng(child):
+            yield scope, child.lineno
+        yield from rng_uses(child, inner)
+
+
+def test_no_random_number_generators_outside_the_scheme_sampler():
+    # results are decided exactly; no seeded search may decide one
+    found = [
+        f"{path.name}:{line} {scope}"
+        for path in MODULES
+        for scope, line in rng_uses(parse(path))
+        if f"{path.name} {scope}" not in RNG_ALLOWED
+    ]
+    assert found == []
