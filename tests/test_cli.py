@@ -417,9 +417,12 @@ def test_wrong_json_types_are_parse_errors(capsys, tmp_path, game, dist):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
-@pytest.mark.parametrize("command", ["analyze"])
+@pytest.mark.parametrize("command", ["analyze", "check"])
 def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    # check takes no --tol at all, so every value is refused there
     argv = [command, str(data_path("chicken.json"))]
+    if command == "check":
+        argv += [str(data_path("exeqsep_w1.json")), "--set", "ce"]
     code, out, err = run(capsys, *argv, "--tol", tol, "--json")
     assert code == EXIT_PARSE
     assert out == ""
